@@ -3,20 +3,40 @@
    owns exactly one store; shipping a node to another peer necessarily
    means re-creating it in the remote store with a fresh identity. *)
 
+(* Document ids are allocated from an id space shared by every store
+   whose nodes may meet in one sequence (the peers of one network), so
+   cross-store node sequences — as arise when a query mixes local and
+   peer documents — still have a well-defined, consistent document order.
+   Ids travel on the wire inside origin keys, so the space belongs to the
+   network, not the process: the same query on a freshly built network
+   sends the same bytes whatever the process ran before.
+
+   [next_base] numbers the id ranges the XRPC shredder reserves for
+   fragment copies: base [k] covers [k lsl 44] up to [(k+1) lsl 44], far
+   above any counted id. It cycles through [1, 2^18) so [k lsl 44] never
+   passes max_int; a reused range only risks id collisions, which
+   [add_with_did] resolves. *)
+type ids = { mutable next_did : int; mutable next_base : int }
+
+let new_ids () = { next_did = 0; next_base = 1 }
+
+(* the space of stores created outside any network *)
+let standalone = new_ids ()
+
 type t = {
   mutable docs : Doc.t list; (* newest first *)
   by_uri : (string, Doc.t) Hashtbl.t;
   by_did : (int, Doc.t) Hashtbl.t;
+  ids : ids;
 }
 
-(* Document ids are allocated from a global counter so that they are unique
-   across stores: cross-store node sequences (as arise when a query mixes
-   local and peer documents) then still have a well-defined, consistent
-   document order. *)
-let global_next = ref 0
+let create ?(ids = standalone) () =
+  { docs = []; by_uri = Hashtbl.create 16; by_did = Hashtbl.create 16; ids }
 
-let create () =
-  { docs = []; by_uri = Hashtbl.create 16; by_did = Hashtbl.create 16 }
+let fresh_base t =
+  let k = t.ids.next_base in
+  t.ids.next_base <- (if k = (1 lsl 18) - 1 then 1 else k + 1);
+  k lsl 44
 
 let register ~index_uri t doc =
   t.docs <- doc :: t.docs;
@@ -31,8 +51,8 @@ let register ~index_uri t doc =
    must never shadow a peer's original documents. *)
 let add ?(index_uri = true) t doc =
   if doc.Doc.did >= 0 then invalid_arg "Store.add: document already registered";
-  doc.Doc.did <- !global_next;
-  incr global_next;
+  doc.Doc.did <- t.ids.next_did;
+  t.ids.next_did <- t.ids.next_did + 1;
   register ~index_uri t doc
 
 (* Register with an explicit document id. Used by the XRPC shredder, which

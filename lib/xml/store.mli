@@ -5,7 +5,20 @@
 
 type t
 
-val create : unit -> t
+type ids
+(** An id space: the document-id counter and the fragment-range counter
+    shared by every store of one network. *)
+
+val new_ids : unit -> ids
+
+val create : ?ids:ids -> unit -> t
+(** A store drawing ids from [ids]; by default from the one space shared
+    by all stores created without it. *)
+
+val fresh_base : t -> int
+(** Reserve a fresh range of [2^44] document ids, far above every counted
+    id, for {!add_with_did}. Ranges cycle after [2^18 - 1] reservations,
+    so the result is always positive. *)
 
 val add : ?index_uri:bool -> t -> Doc.t -> Doc.t
 (** Register a freshly built document, assigning its id. Returns the same

@@ -185,6 +185,31 @@ let crash_restart t =
 
 (* ---- coordinator analysis --------------------------------------------- *)
 
+(* A transaction id this coordinator never issued before: one past the
+   highest id it has journaled as begun, journaled right away. Records
+   are the only state that survives a crash-restart or a file reopen, and
+   the id is burnt even when evaluation later fails before 2PC starts, so
+   no participant ever sees one id reused for a second transaction. *)
+let begin_txn t =
+  let prefix = t.peer ^ ":txn" in
+  let plen = String.length prefix in
+  let last =
+    List.fold_left
+      (fun acc r ->
+        match r with
+        | Begun { txn } when String.starts_with ~prefix txn -> (
+          match
+            int_of_string_opt (String.sub txn plen (String.length txn - plen))
+          with
+          | Some n -> max acc n
+          | None -> acc)
+        | _ -> acc)
+      0 t.recs
+  in
+  let txn = prefix ^ string_of_int (last + 1) in
+  append t (Begun { txn });
+  txn
+
 let unresolved t =
   let outlines = Hashtbl.create 4 in
   let order = ref [] in

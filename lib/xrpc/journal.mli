@@ -69,7 +69,13 @@ val crash_restart : t -> unit
 (** Simulate a crash: wipe all volatile state and replay the journal with
     presumed abort. *)
 
-(** {2 Coordinator analysis} *)
+(** {2 Coordinator operations} *)
+
+val begin_txn : t -> string
+(** Allocate a fresh transaction id ["<peer>:txn<N>"] and journal it as
+    {!Begun}. [N] is one past the highest id this journal has begun, so
+    ids never repeat across sessions, crash-restarts, file reopens, or
+    after a transaction that failed before reaching 2PC. *)
 
 val unresolved : t -> (string * string list * [ `Commit | `Abort ]) list
 (** Transactions this coordinator began but never fully resolved, with

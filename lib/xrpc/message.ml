@@ -147,7 +147,6 @@ type endpoint = {
   shipped : (string, (int, Iset.t ref) Hashtbl.t) Hashtbl.t;
       (* per dest host: my did -> indices already shipped there *)
   host_base : (string, int) Hashtbl.t;
-  mutable next_base : int;
 }
 
 let make_endpoint peer =
@@ -157,20 +156,15 @@ let make_endpoint peer =
     origin = Hashtbl.create 64;
     shipped = Hashtbl.create 4;
     host_base = Hashtbl.create 4;
-    next_base = 1;
   }
 
-(* Bases are allocated from a global counter so synthesized document ids
-   never collide across endpoints/stores. *)
-let global_base = ref 1
-
+(* Bases come from the store's id space, so synthesized document ids
+   never collide across the endpoints of one network. *)
 let base_for ep host =
   match Hashtbl.find_opt ep.host_base host with
   | Some b -> b
   | None ->
-    let b = !global_base lsl 44 in
-    incr global_base;
-    ep.next_base <- ep.next_base + 1;
+    let b = X.Store.fresh_base (Peer.store ep.self) in
     Hashtbl.replace ep.host_base host b;
     b
 

@@ -220,7 +220,6 @@ type endpoint = {
   origin : (string * int * int, Xd_xml.Node.t) Hashtbl.t;
   shipped : (string, (int, Set.Make(Int).t ref) Hashtbl.t) Hashtbl.t;
   host_base : (string, int) Hashtbl.t;
-  mutable next_base : int;
 }
 (** Per-session per-peer marshaling state. *)
 

@@ -13,6 +13,7 @@
 
 type t = {
   peers : (string, Peer.t) Hashtbl.t;
+  ids : Xd_xml.Store.ids;
   bandwidth_bytes_per_s : float;
   latency_s : float;
   stats : Stats.t;
@@ -29,6 +30,7 @@ let create ?(bandwidth_bytes_per_s = 1e9 /. 8.) ?(latency_s = 1e-4)
     ?(fault = Fault.none) ?journal_dir () =
   {
     peers = Hashtbl.create 8;
+    ids = Xd_xml.Store.new_ids ();
     bandwidth_bytes_per_s;
     latency_s;
     stats = Stats.create ();
@@ -93,7 +95,7 @@ let journal t peer =
 let add_peer t peer = Hashtbl.replace t.peers (Peer.name peer) peer
 
 let new_peer t name =
-  let p = Peer.create name in
+  let p = Peer.create ~ids:t.ids name in
   add_peer t p;
   p
 

@@ -11,6 +11,10 @@
 
 type t = {
   peers : (string, Peer.t) Hashtbl.t;
+  ids : Xd_xml.Store.ids;
+      (** the document-id space of every peer made by {!new_peer}: ids
+          ride on the wire, so they depend on this network's history
+          only *)
   bandwidth_bytes_per_s : float;
   latency_s : float;
   stats : Stats.t;

@@ -10,7 +10,7 @@ module X = Xd_xml
 
 type t = { name : string; store : X.Store.t }
 
-let create name = { name; store = X.Store.create () }
+let create ?ids name = { name; store = X.Store.create ?ids () }
 let name t = t.name
 let store t = t.store
 

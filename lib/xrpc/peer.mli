@@ -4,7 +4,10 @@
 
 type t
 
-val create : string -> t
+val create : ?ids:Xd_xml.Store.ids -> string -> t
+(** A peer whose store draws document ids from [ids] (see
+    {!Xd_xml.Store.create}). *)
+
 val name : t -> string
 val store : t -> Xd_xml.Store.t
 val load_xml : t -> doc_name:string -> string -> Xd_xml.Doc.t

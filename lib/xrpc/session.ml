@@ -14,6 +14,7 @@ module Env = Xd_lang.Env
 module Eval = Xd_lang.Eval
 module Trace = Xd_obs.Trace
 
+(* [dir] names the peer a request went to or a response came from *)
 type recorded = { dir : [ `Request of string | `Response of string ]; text : string }
 
 (* Coordinator state of one distributed transaction: the id travels on
@@ -55,7 +56,6 @@ type t = {
       (* the transaction in scope: set on the coordinator for the whole
          execution, and on a server session while it evaluates a
          txn-tagged request (so nested calls propagate the id) *)
-  mutable next_txn : int; (* coordinator: transaction-id counter *)
   sched : (int, int list list) Hashtbl.t;
       (* effect-analysis schedule, coordinator only: anchor (Seq/Let/For)
          vertex id -> overlap groups, each the consecutive Execute_at
@@ -115,7 +115,6 @@ let create ?record ?(bulk = true) ?schema ?(depth = 0) ?(timeout_s = 1.0)
     dedup_cap = max 1 dedup_cap;
     next_req = 0;
     txn = None;
-    next_txn = 0;
     sched;
     deadline_rel = deadline;
     deadline_at = None;
@@ -1414,7 +1413,7 @@ and call_host session env (x : Ast.execute_at) ~host ~args =
           build_request session ~ep ~host ?req_id ?txn ?epoch x ~args ~funcs)
   in
   (match session.record with
-  | Some r -> r := { dir = `Request req_text; text = req_text } :: !r
+  | Some r -> r := { dir = `Request host; text = req_text } :: !r
   | None -> ());
   let srv = server_session session host in
   let self_name = Peer.name session.self in
@@ -1476,7 +1475,7 @@ and call_host session env (x : Ast.execute_at) ~host ~args =
             ignore (handle_request srv ~client_name:self_name delivered);
           (match session.record with
           | Some r ->
-            r := { dir = `Response resp_text; text = resp_text } :: !r
+            r := { dir = `Response host; text = resp_text } :: !r
           | None -> ());
           match send_on_wire session ~dst:self_name resp_text with
           | Network.Dropped ->
@@ -1756,7 +1755,7 @@ and batch_call session env ~host
   in
   Stats.add_batch stats ~calls:n;
   (match session.record with
-  | Some r -> r := { dir = `Request req_text; text = req_text } :: !r
+  | Some r -> r := { dir = `Request host; text = req_text } :: !r
   | None -> ());
   let srv = server_session session host in
   let self_name = Peer.name session.self in
@@ -1769,7 +1768,7 @@ and batch_call session env ~host
   | Network.Delivered { text = delivered; duplicated = _ } -> (
     let resp_text = handle_request srv ~client_name:self_name delivered in
     (match session.record with
-    | Some r -> r := { dir = `Response resp_text; text = resp_text } :: !r
+    | Some r -> r := { dir = `Response host; text = resp_text } :: !r
     | None -> ());
     match send_on_wire session ~dst:self_name resp_text with
     | Network.Dropped -> undeliverable ()
@@ -2067,7 +2066,7 @@ let txn_rpc session ~host ?epoch action txn : (Message.txn_ack, exn) result =
         Message.write_txn_control ?epoch ?deadline ~action ~txn ())
   in
   (match session.record with
-  | Some r -> r := { dir = `Request req_text; text = req_text } :: !r
+  | Some r -> r := { dir = `Request host; text = req_text } :: !r
   | None -> ());
   let srv = server_session session host in
   let self_name = Peer.name session.self in
@@ -2124,7 +2123,7 @@ let txn_rpc session ~host ?epoch action txn : (Message.txn_ack, exn) result =
           if duplicated then
             ignore (handle_request srv ~client_name:self_name delivered);
           (match session.record with
-          | Some r -> r := { dir = `Response resp_text; text = resp_text } :: !r
+          | Some r -> r := { dir = `Response host; text = resp_text } :: !r
           | None -> ());
           match send_on_wire session ~dst:self_name resp_text with
           | Network.Dropped ->
@@ -2158,10 +2157,11 @@ let commit_local session txn =
 let all_ok acks = List.for_all (function Ok _ -> true | Error _ -> false) acks
 
 (* Drive 2PC to completion. With no remote participants the transaction
-   never left this peer: apply the local PUL directly — the single-peer
-   fast path costs zero extra messages.
+   never left this peer: apply the local PUL directly and resolve the
+   transaction {!execute_txn} journaled as begun — the single-peer fast
+   path costs zero extra messages.
 
-   Otherwise: journal the outline, stage + prepare our own PUL (the
+   Otherwise: journal the participants, stage + prepare our own PUL (the
    coordinator is its own participant, which is what lets recovery finish
    the local half after a coordinator restart), collect prepare votes,
    then either journal the commit decision and propagate it, or abort
@@ -2173,12 +2173,14 @@ let commit_txn session (env : Env.t) (c : coord) =
   let stats = session.net.Network.stats in
   let j = journal session in
   let txn = c.txn_id in
-  if c.participants = [] then apply_updates session env
+  if c.participants = [] then begin
+    apply_updates session env;
+    Journal.append j (Journal.Resolved { txn })
+  end
   else begin
     traced session ~cat:"txn" "2pc" @@ fun tsp ->
     Trace.add_attr tsp "txn" (Trace.S txn);
     Trace.add_attr tsp "participants" (Trace.I (List.length c.participants));
-    Journal.append j (Journal.Begun { txn });
     List.iter
       (fun host -> Journal.append j (Journal.Participant { txn; host }))
       c.participants;
@@ -2253,10 +2255,6 @@ let commit_txn session (env : Env.t) (c : coord) =
       raise e
   end
 
-let fresh_txn session =
-  session.next_txn <- session.next_txn + 1;
-  Printf.sprintf "%s:txn%d" (Peer.name session.self) session.next_txn
-
 (* ---------------- public API ------------------------------------------- *)
 
 let env_for session ~funcs =
@@ -2292,7 +2290,9 @@ let execute_txn session (q : Ast.query) =
       Some (Xd_topo.Catalog.epoch cat)
     | _ -> None
   in
-  let c = { txn_id = fresh_txn session; participants = []; epoch } in
+  (* the id comes from the journal, so it never repeats for this peer *)
+  let j = journal session in
+  let c = { txn_id = Journal.begin_txn j; participants = []; epoch } in
   session.txn <- Some c;
   Fun.protect
     ~finally:(fun () -> session.txn <- None)
@@ -2305,13 +2305,15 @@ let execute_txn session (q : Ast.query) =
         (* evaluation failed mid-flight: nothing is prepared anywhere, so
            presumed abort already guarantees no participant will apply;
            eagerly release staged state where the wire allows *)
-        if c.participants <> [] then begin
+        if c.participants <> [] then
           Stats.incr_txn_aborts session.net.Network.stats;
-          ignore
-            (List.map
-               (fun host -> txn_rpc session ~host Message.Abort c.txn_id)
-               c.participants)
-        end;
+        let acks =
+          List.map
+            (fun host -> txn_rpc session ~host Message.Abort c.txn_id)
+            c.participants
+        in
+        if all_ok acks then
+          Journal.append j (Journal.Resolved { txn = c.txn_id });
         raise e)
 
 (* Crash recovery, run by a fresh session for the same peer (same journal

@@ -9,6 +9,7 @@
 
 type recorded = {
   dir : [ `Request of string | `Response of string ];
+      (** the peer a request went to, or the peer a response came from *)
   text : string;
 }
 

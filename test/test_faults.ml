@@ -170,6 +170,37 @@ let prop_deterministic =
       in
       once () = once ())
 
+(* ---- the wire depends on the network's history only -------------------- *)
+
+(* Document ids and fragment ranges travel inside origin keys, so they
+   come from an id space the network owns: the same query on a freshly
+   built network sends the same bytes whatever the process ran before —
+   here, unrelated documents in a standalone store and a by-fragment run
+   on another network. The spec and seed once made successive runs send
+   6649, 6661 and 6669 message bytes. *)
+let test_wire_independent_of_process () =
+  let transcript () =
+    let record = ref [] in
+    let net, client =
+      make_net ~fault:(fault_of "peerB:crash=2@0.5;peerA:truncate@0.2" 792) ()
+    in
+    (match
+       E.run ~record ~timeout_s:0.5 ~retries:2 net ~client S.By_fragment
+         (parse queries.(1))
+     with
+    | _ -> ()
+    | exception (M.Xrpc_fault _ | M.Xrpc_timeout _) -> ());
+    (List.rev !record, stats_tuple net)
+  in
+  let first = transcript () in
+  let st = Xd_xml.Store.create () in
+  for i = 1 to 25 do
+    ignore (Xd_xml.Parser.parse ~store:st (Printf.sprintf "<a n='%d'/>" i))
+  done;
+  ignore (run_faulty ~strategy:S.By_fragment 3 "" 0);
+  check_bool "identical transcript and stats on a fresh network"
+    (first = transcript ())
+
 (* ---- the fault layer is free when disabled ------------------------------ *)
 
 let test_empty_spec_free () =
@@ -270,5 +301,7 @@ let () =
           tc "down peer update times out" test_down_peer_update_times_out;
           tc "truncation retried" test_truncate_retried;
           tc "spec parsing" test_spec_parse;
+          tc "wire independent of process history"
+            test_wire_independent_of_process;
         ] );
     ]

@@ -203,7 +203,7 @@ let test_repeat_call_fragments_cached () =
     List.filter_map
       (fun r ->
         match r.Xd_xrpc.Session.dir with
-        | `Request t -> Some t
+        | `Request _ -> Some r.Xd_xrpc.Session.text
         | `Response _ -> None)
       msgs
   in

@@ -394,6 +394,49 @@ let test_single_site_wire_identity () =
       check_bool "identical state" (s_auto = s_off))
     [ S.By_fragment; S.By_projection ]
 
+(* ---- transaction ids never repeat ------------------------------------------ *)
+
+(* Six two-peer inserts in a row through the executor, each its own
+   transaction: every one must apply at both peers. A coordinator that
+   reused an id would have its later inserts refused by participants that
+   already committed that id, and they would vanish without an error.
+   [crash_after] crash-restarts the coordinator's journal and runs
+   recovery after that many inserts. *)
+let sequential_inserts ?crash_after () =
+  let net, client = make_net () in
+  for i = 1 to 6 do
+    ignore (E.run ~txn:`Auto net ~client S.By_fragment (parse q_insert_two));
+    if crash_after = Some i then begin
+      J.crash_restart (N.journal net "client");
+      E.recover net ~client
+    end
+  done;
+  let flags host doc =
+    let d = Option.get (Xd_xrpc.Peer.find_doc (N.find_peer net host) doc) in
+    let text = Xd_xml.Serializer.doc d in
+    let rec count i acc =
+      match String.index_from_opt text i '<' with
+      | None -> acc
+      | Some j ->
+        let hit =
+          j + 6 <= String.length text && String.sub text j 6 = "<flag>"
+        in
+        count (j + 1) (if hit then acc + 1 else acc)
+    in
+    count 0 0
+  in
+  check_int "six flags at peerA" 6 (flags "peerA" "students.xml");
+  check_int "six flags at peerB" 6 (flags "peerB" "course.xml");
+  check_int "six commits"
+    6 (List.length
+         (List.filter
+            (function J.Resolved _ -> true | _ -> false)
+            (J.records (N.journal net "client"))))
+
+let test_sequential_inserts () = sequential_inserts ()
+
+let test_sequential_inserts_crash () = sequential_inserts ~crash_after:3 ()
+
 (* ---- the static site analysis -------------------------------------------- *)
 
 let test_txn_needed () =
@@ -453,5 +496,8 @@ let () =
           tc "dedup cache is bounded" test_dedup_cache_bounded;
           tc "single-site wire identity" test_single_site_wire_identity;
           tc "txn_needed site analysis" test_txn_needed;
+          tc "sequential transactions all apply" test_sequential_inserts;
+          tc "transaction ids survive coordinator restart"
+            test_sequential_inserts_crash;
         ] );
     ]

@@ -91,7 +91,7 @@ let test_fault_envelope_on_wire () =
     List.filter_map
       (fun r ->
         match r.Xd_xrpc.Session.dir with
-        | `Response t -> Some t
+        | `Response _ -> Some r.Xd_xrpc.Session.text
         | `Request _ -> None)
       (List.rev !record)
   in
