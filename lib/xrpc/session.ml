@@ -144,60 +144,60 @@ let traced ?peer session ~cat name f =
     ~peer ~cat name
     (fun sp -> with_cur session sp (fun () -> f sp))
 
-(* An event marker: the caller attaches attributes and finishes it. *)
-let span_note session ~cat name =
-  Trace.start session.tracer
-    ~parent:(Trace.ambient session.cur)
-    ~peer:(Peer.name session.self) ~cat name
+(* An instantaneous event span carrying [attrs]. *)
+let note session ~cat name attrs =
+  let sp =
+    Trace.start session.tracer
+      ~parent:(Trace.ambient session.cur)
+      ~peer:(Peer.name session.self) ~cat name
+  in
+  List.iter (fun (k, v) -> Trace.add_attr sp k v) attrs;
+  Trace.finish session.tracer sp
 
-(* Record on [sp] how far a Stats reader moved across [f] — the exact
-   amount the region charged to its bucket. Span wall clocks are
-   separate gettimeofday reads and drift against the gauges; the deltas
-   are what lets Profile reconcile per-vertex sums with the registry
-   totals to the float, not to a tolerance. No-ops when untraced. *)
-let attr_delta_f sp key reader f =
+(* Record on [sp] how far a Stats reader moved across [f], as
+   [diff before after]. No-ops when untraced. *)
+let attr_delta sp key reader diff f =
   match sp with
   | None -> f ()
   | Some _ ->
-      let before = reader () in
-      Fun.protect
-        ~finally:(fun () ->
-          Trace.add_attr sp key (Trace.F (reader () -. before)))
-        f
+    let before = reader () in
+    Fun.protect
+      ~finally:(fun () -> Trace.add_attr sp key (diff before (reader ())))
+      f
 
-(* Same for integer counters — used to stamp network spans with the
-   bytes they billed (retransmissions included, since the delta spans
-   the whole exchange). *)
-let attr_delta_i sp key reader f =
-  match sp with
-  | None -> f ()
-  | Some _ ->
-      let before = reader () in
-      Fun.protect
-        ~finally:(fun () -> Trace.add_attr sp key (Trace.I (reader () - before)))
-        f
-
-(* Traced accounting regions: a span in the matching category whose
-   [busy_s] attribute carries the exact bucket delta the region charged.
-   (A remote span's delta includes nested remote charges — Profile
-   subtracts descendant remote spans to recover the self amount.) *)
-let ser_traced session name f =
+(* Traced accounting regions: a span in category [cat] whose [busy_s]
+   attribute carries the exact amount [f] charged to the Stats bucket
+   [reader]. Span wall clocks are separate gettimeofday reads and drift
+   against the gauges; the deltas are what lets Profile reconcile
+   per-vertex sums with the registry totals to the float, not to a
+   tolerance. (A remote span's delta includes nested remote charges —
+   Profile subtracts descendant remote spans to recover the self
+   amount.) *)
+let bucket_traced ?peer session ~cat reader time name f =
   let stats = session.net.Network.stats in
-  traced session ~cat:"serialize" name @@ fun sp ->
-  attr_delta_f sp "busy_s" (fun () -> Stats.serialize_s stats) @@ fun () ->
-  Stats.time_serialize stats f
+  traced ?peer session ~cat name @@ fun sp ->
+  attr_delta sp "busy_s" (fun () -> reader stats) (fun a b -> Trace.F (b -. a))
+  @@ fun () -> time stats f
+
+let ser_traced ?peer session name f =
+  bucket_traced ?peer session ~cat:"serialize" Stats.serialize_s
+    Stats.time_serialize name f
 
 let shred_traced session name f =
-  let stats = session.net.Network.stats in
-  traced session ~cat:"shred" name @@ fun sp ->
-  attr_delta_f sp "busy_s" (fun () -> Stats.shred_s stats) @@ fun () ->
-  Stats.time_shred stats f
+  bucket_traced session ~cat:"shred" Stats.shred_s Stats.time_shred name f
 
 let remote_traced session name f =
+  bucket_traced session ~cat:"remote" Stats.remote_exec_s Stats.time_remote
+    name f
+
+(* A "network" span stamped with the bytes billed across [f],
+   retransmissions included. *)
+let network_traced session name f =
   let stats = session.net.Network.stats in
-  traced session ~cat:"remote" name @@ fun sp ->
-  attr_delta_f sp "busy_s" (fun () -> Stats.remote_exec_s stats) @@ fun () ->
-  Stats.time_remote stats f
+  traced session ~cat:"network" name @@ fun sp ->
+  attr_delta sp "bytes" (fun () -> Stats.total_bytes stats) (fun a b ->
+      Trace.I (b - a))
+  @@ fun () -> f sp
 
 let recorded session = Option.map (fun r -> List.rev !r) session.record
 
@@ -244,6 +244,12 @@ let deadline_now session =
 
 let deadline_active session =
   session.deadline_at <> None || session.deadline_rel <> None
+
+(* What is left of the deadline budget right now, if there is one. *)
+let remaining session =
+  Option.map
+    (fun d -> d -. Stats.network_s session.net.Network.stats)
+    (deadline_now session)
 
 (* Charge one backoff wait to the simulated clock, honoring a server's
    retry-after suggestion when it exceeds our own jittered schedule. The
@@ -324,6 +330,13 @@ let catalog_owner cat docs =
   in
   match owners with [ o ] -> Some o | _ -> None
 
+(* The catalog epoch when dynamic topology is in force. *)
+let topo_epoch session =
+  match session.net.Network.catalog with
+  | Some cat when Network.topo_active session.net ->
+    Some (Xd_topo.Catalog.epoch cat)
+  | _ -> None
+
 (* This peer's transaction journal — owned by the network so that every
    session serving the peer (and any later recovery session) shares it. *)
 let journal session = Network.journal session.net (Peer.name session.self)
@@ -360,6 +373,27 @@ let parse_message session text =
     let n = Hashtbl.length prebuilt in
     if n > 0 then Stats.add_codec_event_shreds session.net.Network.stats n;
     (mdoc, Some prebuilt)
+
+(* A reply that does not parse or holds the wrong content: a retryable
+   transport fault. *)
+let corrupt ~host reason =
+  Message.Xrpc_fault { host; code = Message.Transport_corrupt; reason }
+
+(* Raise the typed fault an <env:Fault> element carries, keeping its
+   retry-after suggestion for the next backoff. A fault that does not
+   itself parse is a corrupt reply. *)
+let raise_fault session ~host f =
+  match
+    let code, reason = Message.parse_fault f in
+    (code, reason, Message.parse_retry_after f)
+  with
+  | code, reason, hint ->
+    session.retry_after_hint <- hint;
+    raise (Message.Xrpc_fault { host; code; reason })
+  | exception Message.Protocol_error m -> raise (corrupt ~host m)
+
+(* Why the last attempt of an exchange failed. *)
+type failure = [ `Timeout | `Fault of Message.fault_code * string ]
 
 (* The server-side session object for calls from [session] to [host]:
    holds the server peer's endpoint (shredded parameters) and supports
@@ -413,7 +447,6 @@ and resolve_doc session env uri =
       | None ->
         traced session ~cat:"doc" ("fetch " ^ uri) @@ fun dsp ->
         Trace.add_attr dsp "uri" (Trace.S uri);
-        let stats = session.net.Network.stats in
         let speer = Network.find_peer session.net host in
         let doc =
           match Peer.find_doc speer doc_name with
@@ -422,20 +455,13 @@ and resolve_doc session env uri =
             Env.dynamic_error "document %S not found at %s" doc_name host
         in
         let text =
-          traced ~peer:host session ~cat:"serialize" "document" @@ fun ssp ->
-          attr_delta_f ssp "busy_s" (fun () -> Stats.serialize_s stats)
-          @@ fun () ->
-          Stats.time_serialize stats (fun () -> X.Serializer.doc doc)
+          ser_traced ~peer:host session "document" (fun () ->
+              X.Serializer.doc doc)
         in
-        (traced session ~cat:"network" ("ship " ^ doc_name) @@ fun nsp ->
-         attr_delta_i nsp "bytes" (fun () -> Stats.total_bytes stats)
-         @@ fun () ->
-         Network.transfer ~kind:`Document session.net (String.length text));
+        network_traced session ("ship " ^ doc_name) (fun _ ->
+            Network.transfer ~kind:`Document session.net (String.length text));
         let d =
-          traced session ~cat:"shred" "document" @@ fun hsp ->
-          attr_delta_f hsp "busy_s" (fun () -> Stats.shred_s stats)
-          @@ fun () ->
-          Stats.time_shred stats (fun () ->
+          shred_traced session "document" (fun () ->
               X.Parser.parse ~store:(Peer.store session.self) ~uri text)
         in
         Hashtbl.replace session.fetched uri d;
@@ -449,8 +475,6 @@ and call_endpoint session =
   if session.bulk then session.ep else Message.make_endpoint session.self
 
 (* ---------------- request construction -------------------------------- *)
-
-and parse_suffixes ss = List.map Xd_projection.Path.of_string ss
 
 (* Used/returned node sets for the parameters of one call (by-projection).
    Parameters without projection information conservatively ship their full
@@ -470,12 +494,9 @@ and param_node_sets (x : Ast.execute_at) args =
         with
         | Some (_, u_strs, r_strs) ->
           used := ctx @ !used;
-          List.iter
-            (fun p -> used := Xd_projection.Path.eval p ctx @ !used)
-            (parse_suffixes u_strs);
-          List.iter
-            (fun p -> returned := Xd_projection.Path.eval p ctx @ !returned)
-            (parse_suffixes r_strs)
+          let eval p = Xd_projection.Path.(eval (of_string p) ctx) in
+          List.iter (fun p -> used := eval p @ !used) u_strs;
+          List.iter (fun p -> returned := eval p @ !returned) r_strs
         | None -> returned := ctx @ !returned)
     args;
   (!used, !returned)
@@ -508,10 +529,8 @@ and request_body session ~ep ~host ?req_id ?txn ?epoch ?(in_batch = false)
      re-patched with the remaining budget at each send. The admission
      unit is the outermost element, so batch slots leave the budget to
      their envelope. *)
-  (match (in_batch, deadline_now session) with
-  | false, Some d ->
-    Message.buf_deadline buf
-      (d -. Stats.network_s session.net.Network.stats)
+  (match remaining session with
+  | Some r when not in_batch -> Message.buf_deadline buf r
   | _ -> ());
   Message.buf_attr buf "static-base-uri" "xdx://static/";
   Message.buf_attr buf "default-collation" "codepoint";
@@ -538,19 +557,15 @@ and request_body session ~ep ~host ?req_id ?txn ?epoch ?(in_batch = false)
      && x.Ast.result_paths <> ([], [])
    then begin
      let u, r = x.Ast.result_paths in
+     let paths tag =
+       List.iter (fun p ->
+           Buffer.add_string buf ("<" ^ tag ^ ">");
+           Message.buf_text buf p;
+           Buffer.add_string buf ("</" ^ tag ^ ">"))
+     in
      Buffer.add_string buf "<projection-paths>";
-     List.iter
-       (fun p ->
-         Buffer.add_string buf "<used-path>";
-         Message.buf_text buf p;
-         Buffer.add_string buf "</used-path>")
-       u;
-     List.iter
-       (fun p ->
-         Buffer.add_string buf "<returned-path>";
-         Message.buf_text buf p;
-         Buffer.add_string buf "</returned-path>")
-       r;
+     paths "used-path" u;
+     paths "returned-path" r;
      Buffer.add_string buf "</projection-paths>"
    end);
   let values = List.map snd args in
@@ -575,10 +590,6 @@ and request_body session ~ep ~host ?req_id ?txn ?epoch ?(in_batch = false)
   Buffer.add_string buf "</request>";
   Buffer.contents buf
 
-and build_request session ~ep ~host ?req_id ?txn ?epoch x ~args ~funcs =
-  Message.envelope
-    (request_body session ~ep ~host ?req_id ?txn ?epoch x ~args ~funcs)
-
 (* The compiled encoder for one call, when the wire-shape analysis
    produced one for this call site and nothing about the call needs the
    generic writer. Module shipping mutates per-host state inside the
@@ -598,15 +609,10 @@ and compiled_request session ~host ?req_id ?txn ?epoch (x : Ast.execute_at)
       | None -> None
       | Some cc -> (
         let stats = session.net.Network.stats in
-        let deadline =
-          Option.map
-            (fun d -> d -. Stats.network_s stats)
-            (deadline_now session)
-        in
         match
           Codec.encode_request cc
             ~caller:(Peer.name session.self)
-            ?req_id ?txn ?epoch ?deadline args
+            ?req_id ?txn ?epoch ?deadline:(remaining session) args
         with
         | Some text ->
           Stats.incr_codec_compiled stats;
@@ -650,44 +656,41 @@ and handle_request session ~client_name request_text =
         resp)
   | _ -> handle_request_guarded session ~client_name request_text
 
-(* Map an evaluation/parse failure to its protocol fault code and reason;
-   [None] for asynchronous/implementation exceptions, which keep
-   propagating. *)
-and fault_of_exn = function
-  | Message.Protocol_error m -> Some (Message.Protocol_malformed, m)
-  | X.Parser.Error (m, pos) ->
-    Some
+(* Map an evaluation/parse failure to its protocol fault code and
+   reason, counted as an application fault; asynchronous/implementation
+   exceptions keep propagating. *)
+and app_fault session e =
+  let fault =
+    match e with
+    | Message.Protocol_error m -> (Message.Protocol_malformed, m)
+    | X.Parser.Error (m, pos) ->
       ( Message.Transport_corrupt,
         Printf.sprintf "unparsable request: %s (byte %d)" m pos )
-  | Xd_lang.Parser.Error (m, pos) | Xd_lang.Lexer.Error (m, pos) ->
-    Some
+    | Xd_lang.Parser.Error (m, pos) | Xd_lang.Lexer.Error (m, pos) ->
       ( Message.Protocol_malformed,
         Printf.sprintf "unparsable query body: %s (offset %d)" m pos )
-  | Env.Dynamic_error m -> Some (Message.App_dynamic, m)
-  | Value.Type_error m -> Some (Message.App_type, m)
-  | Message.Xrpc_fault { host; code; reason } ->
-    (* a nested call of the body failed: relay the upstream fault *)
-    Some (code, Printf.sprintf "relayed from %s: %s" host reason)
-  | Message.Xrpc_timeout { host; attempts } ->
-    Some
+    | Env.Dynamic_error m -> (Message.App_dynamic, m)
+    | Value.Type_error m -> (Message.App_type, m)
+    | Message.Xrpc_fault { host; code; reason } ->
+      (* a nested call of the body failed: relay the upstream fault *)
+      (code, Printf.sprintf "relayed from %s: %s" host reason)
+    | Message.Xrpc_timeout { host; attempts } ->
       ( Message.Transport_timeout,
         Printf.sprintf "upstream peer %s did not answer (%d attempts)" host
           attempts )
-  | Failure m -> Some (Message.Protocol_malformed, m)
-  | _ -> None
+    | Failure m -> (Message.Protocol_malformed, m)
+    | e -> raise e
+  in
+  Stats.incr_faults ~kind:"app" session.net.Network.stats;
+  fault
 
 and handle_request_guarded session ~client_name request_text =
-  let stats = session.net.Network.stats in
   try handle_request_exn session ~client_name request_text
-  with e -> (
-    match fault_of_exn e with
-    | None -> raise e
-    | Some (code, reason) ->
-      Stats.incr_faults ~kind:"app" stats;
-      Trace.add_attr session.cur "fault"
-        (Trace.S (Message.fault_code_to_string code));
-      ser_traced session "fault" (fun () ->
-          Message.write_fault ~code ~reason ()))
+  with e ->
+    let code, reason = app_fault session e in
+    Trace.add_attr session.cur "fault"
+      (Trace.S (Message.fault_code_to_string code));
+    ser_traced session "fault" (fun () -> Message.write_fault ~code ~reason ())
 
 (* The admission + deadline gate. Every unit of real work — a <request>,
    a whole <batch> (units = its call count) or a 2PC control message —
@@ -866,21 +869,18 @@ and handle_batch session ~client_name ?prebuilt batch =
       let ep = call_endpoint session in
       match handle_parsed session ~client_name ~ep ?prebuilt req with
       | resp -> resp
-      | exception e -> (
-        match fault_of_exn e with
-        | None -> raise e
-        | Some (code, reason) ->
-          Stats.incr_faults ~kind:"app" stats;
-          Message.fault_body ~code ~reason ()))
+      | exception e ->
+        let code, reason = app_fault session e in
+        Message.fault_body ~code ~reason ())
   in
   (* slots evaluate in request order — the order the sequential run would
      have issued the calls in *)
-  let slots = List.fold_left (fun acc r -> slot r :: acc) [] reqs in
+  let slots = List.map slot reqs in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "<batch";
   Message.buf_attr buf "calls" (string_of_int (List.length reqs));
   Buffer.add_char buf '>';
-  List.iter (Buffer.add_string buf) (List.rev slots);
+  List.iter (Buffer.add_string buf) slots;
   Buffer.add_string buf "</batch>";
   Message.envelope (Buffer.contents buf)
 
@@ -996,11 +996,9 @@ and handle_parsed session ~client_name ~ep ?req_id ?prebuilt req =
       | Some cat -> Xd_topo.Catalog.epoch cat
       | None -> 0
     in
-    let sp = span_note session ~cat:"topo" "forward" in
-    Trace.add_attr sp "doc" (Trace.S doc);
-    Trace.add_attr sp "owner" (Trace.S owner);
-    Trace.add_attr sp "epoch" (Trace.I epoch);
-    Trace.finish session.tracer sp;
+    note session ~cat:"topo" "forward"
+      [ ("doc", Trace.S doc); ("owner", Trace.S owner);
+        ("epoch", Trace.I epoch) ];
     Message.forward_body ~doc ~owner ~epoch
   | None ->
   (* while a txn-tagged request evaluates, the transaction is in scope so
@@ -1126,9 +1124,7 @@ and stage_updates session (env : Env.t) ~txn ~req_id =
         ~pul:(Xd_lang.Pul.to_xml pending)
     then begin
       Stats.add_txn_staged session.net.Network.stats n;
-      let sp = span_note session ~cat:"txn" "stage" in
-      Trace.add_attr sp "staged" (Trace.I n);
-      Trace.finish session.tracer sp
+      note session ~cat:"txn" "stage" [ ("staged", Trace.I n) ]
     end;
     (* a deduplicated re-stage still reports its count: the answer must
        not depend on whether the first copy of the request got through *)
@@ -1136,29 +1132,21 @@ and stage_updates session (env : Env.t) ~txn ~req_id =
 
 (* ---------------- client side ------------------------------------------ *)
 
-(* Shred a response at the client. A response that does not parse (e.g.
-   truncated in flight) or is structurally broken raises a *retryable*
-   transport fault; a parsed <env:Fault> re-raises as the typed
-   exception it describes. Alongside the value, returns the transaction
-   acknowledgement (staged count + transitive participants) when the
-   response carries one. *)
-and shred_response_node _session ~ep ~host ?prebuilt resp :
+(* Shred a <response> element at the client. Alongside the value, returns
+   the transaction acknowledgement (staged count + transitive
+   participants) when the response carries one. *)
+and shred_response_node ~ep ~host ?prebuilt resp :
     Value.t * (int * string list) option =
-  let corrupt reason =
-    raise
-      (Message.Xrpc_fault { host; code = Message.Transport_corrupt; reason })
-  in
   let tinfo =
     match Message.attr_of resp "txn" with
     | None -> None
     | Some _ ->
+      let staged = Option.value ~default:"0" (Message.attr_of resp "staged") in
       let staged =
-        match Message.attr_of resp "staged" with
-        | None -> 0
-        | Some s -> (
-          match int_of_string_opt s with
-          | Some n -> n
-          | None -> corrupt (Printf.sprintf "bad staged count %S" s))
+        match int_of_string_opt staged with
+        | Some n -> n
+        | None ->
+          raise (corrupt ~host (Printf.sprintf "bad staged count %S" staged))
       in
       let nested =
         match Message.attr_of resp "txn-participants" with
@@ -1177,6 +1165,44 @@ and shred_response_node _session ~ep ~host ?prebuilt resp :
   in
   (v, tinfo)
 
+(* The one reply classifier: parse a reply envelope once and return its
+   [expect] body element — <response>, <batch> or <txn-ack> — with the
+   event shredder's prebuilt documents. Anything else raises: a
+   <forward> redirect (only where a <response> was expected: redirects
+   answer data calls) as Xrpc_forward, or as a non-retryable protocol
+   fault when malformed; an <env:Fault> as the fault it carries; and a
+   reply that does not parse (e.g. truncated in flight) or holds none of
+   these as a retryable transport fault. *)
+and open_reply session ~host ~expect text =
+  let noun = if expect = "txn-ack" then "ack" else "response" in
+  match parse_message session text with
+  | exception X.Parser.Error (m, pos) ->
+    raise
+      (corrupt ~host (Printf.sprintf "unparsable %s: %s (byte %d)" noun m pos))
+  | mdoc, prebuilt -> (
+    let body =
+      find_path [ "env:Envelope"; "env:Body" ] (X.Node.doc_node mdoc)
+    in
+    let child name = Option.bind body (fun b -> Message.find_child b name) in
+    match child expect with
+    | Some n -> (n, prebuilt)
+    | None -> (
+      match (child "forward", child "env:Fault") with
+      | Some f, _ when expect = "response" -> (
+        match Message.parse_forward f with
+        | doc, owner, epoch ->
+          raise (Message.Xrpc_forward { doc; owner; epoch })
+        | exception Message.Protocol_error reason ->
+          raise
+            (Message.Xrpc_fault
+               { host; code = Message.Protocol_malformed; reason }))
+      | _, Some f -> raise_fault session ~host f
+      | _, None ->
+        raise
+          (corrupt ~host
+             (Printf.sprintf "%s is neither <%s> nor <env:Fault>" noun
+                expect))))
+
 (* Client-side response shredding. When the wire-shape analysis proved
    this call site's response atomic, the compiled decoder runs first: an
    exact prefix/suffix match around a flat <atomic> scan, agreeing with
@@ -1186,111 +1212,57 @@ and shred_response_node _session ~ep ~host ?prebuilt resp :
 and shred_response session ?vertex ~ep ~host response_text :
     Value.t * (int * string list) option =
   let stats = session.net.Network.stats in
-  let compiled =
-    match (session.codec, vertex) with
-    | Some c, Some v -> Codec.find_resp c v
-    | _ -> None
+  let generic () =
+    shred_traced session "response" (fun () ->
+        let resp, prebuilt =
+          open_reply session ~host ~expect:"response" response_text
+        in
+        shred_response_node ~ep ~host ?prebuilt resp)
   in
-  match compiled with
-  | Some rd -> (
-    match
-      shred_traced session "response" (fun () ->
-          Codec.decode_response rd response_text)
-    with
-    | Some v ->
-      Stats.incr_codec_decodes stats;
-      (v, None)
-    | None ->
-      Stats.incr_codec_bailouts stats;
-      shred_response_generic session ~ep ~host response_text)
-  | None -> shred_response_generic session ~ep ~host response_text
-
-and shred_response_generic session ~ep ~host response_text :
-    Value.t * (int * string list) option =
-  let corrupt reason =
-    raise
-      (Message.Xrpc_fault { host; code = Message.Transport_corrupt; reason })
-  in
-  shred_traced session "response" (fun () ->
-      let root, prebuilt =
-        match parse_message session response_text with
-        | mdoc, prebuilt -> (X.Node.doc_node mdoc, prebuilt)
-        | exception X.Parser.Error (m, pos) ->
-          corrupt (Printf.sprintf "unparsable response: %s (byte %d)" m pos)
-      in
-      match find_path [ "env:Envelope"; "env:Body"; "response" ] root with
-      | Some resp -> shred_response_node session ~ep ~host ?prebuilt resp
-      | None -> (
-        match find_path [ "env:Envelope"; "env:Body"; "forward" ] root with
-        | Some f ->
-          (* a redirect: the callee no longer owns the data. A malformed
-             one is a non-retryable protocol fault (typed, never a leaked
-             exception); a well-formed one raises for the forwarding
-             loop in execute_at. *)
-          let doc, owner, epoch =
-            try Message.parse_forward f
-            with Message.Protocol_error m ->
-              raise
-                (Message.Xrpc_fault
-                   { host; code = Message.Protocol_malformed; reason = m })
-          in
-          raise (Message.Xrpc_forward { doc; owner; epoch })
-        | None -> (
-          match
-            find_path [ "env:Envelope"; "env:Body"; "env:Fault" ] root
-          with
-          | Some f ->
-            let code, reason = Message.parse_fault f in
-            session.retry_after_hint <- Message.parse_retry_after f;
-            raise (Message.Xrpc_fault { host; code; reason })
-          | None -> corrupt "response is neither <response> nor <env:Fault>")))
+  match (session.codec, vertex) with
+  | Some c, Some v -> (
+    match Codec.find_resp c v with
+    | None -> generic ()
+    | Some rd -> (
+      match
+        shred_traced session "response" (fun () ->
+            Codec.decode_response rd response_text)
+      with
+      | Some v ->
+        Stats.incr_codec_decodes stats;
+        (v, None)
+      | None ->
+        Stats.incr_codec_bailouts stats;
+        generic ()))
+  | _ -> generic ()
 
 (* Shred a <batch> response: one value per slot, in request order. A
    faulted slot raises after its predecessors shredded — exactly the
    state a sequential run would have reached when that call failed. *)
 and shred_batch_response session ~ep ~host ~calls response_text :
     Value.t list =
-  let corrupt reason =
-    raise
-      (Message.Xrpc_fault { host; code = Message.Transport_corrupt; reason })
-  in
   shred_traced session "batch response" (fun () ->
-      let root, prebuilt =
-        match parse_message session response_text with
-        | mdoc, prebuilt -> (X.Node.doc_node mdoc, prebuilt)
-        | exception X.Parser.Error (m, pos) ->
-          corrupt (Printf.sprintf "unparsable response: %s (byte %d)" m pos)
+      let b, prebuilt =
+        open_reply session ~host ~expect:"batch" response_text
       in
-      match find_path [ "env:Envelope"; "env:Body"; "batch" ] root with
-      | Some b ->
-        let slots =
-          List.filter
-            (fun n -> X.Node.kind n = X.Node.Element)
-            (X.Node.children b)
-        in
-        if List.length slots <> calls then
-          corrupt
-            (Printf.sprintf "batch answered %d of %d calls"
-               (List.length slots) calls);
-        List.fold_left
-          (fun acc slot ->
-            match X.Node.name slot with
-            | "response" ->
-              fst (shred_response_node session ~ep ~host ?prebuilt slot) :: acc
-            | "env:Fault" ->
-              let code, reason = Message.parse_fault slot in
-              session.retry_after_hint <- Message.parse_retry_after slot;
-              raise (Message.Xrpc_fault { host; code; reason })
-            | other -> corrupt ("unexpected batch slot <" ^ other ^ ">"))
-          [] slots
-        |> List.rev
-      | None -> (
-        match find_path [ "env:Envelope"; "env:Body"; "env:Fault" ] root with
-        | Some f ->
-          let code, reason = Message.parse_fault f in
-          session.retry_after_hint <- Message.parse_retry_after f;
-          raise (Message.Xrpc_fault { host; code; reason })
-        | None -> corrupt "response is neither <batch> nor <env:Fault>"))
+      let slots =
+        List.filter
+          (fun n -> X.Node.kind n = X.Node.Element)
+          (X.Node.children b)
+      in
+      let n = List.length slots in
+      if n <> calls then
+        raise
+          (corrupt ~host
+             (Printf.sprintf "batch answered %d of %d calls" n calls));
+      List.map
+        (fun slot ->
+          match X.Node.name slot with
+          | "response" -> fst (shred_response_node ~ep ~host ?prebuilt slot)
+          | "env:Fault" -> raise_fault session ~host slot
+          | other ->
+            raise (corrupt ~host ("unexpected batch slot <" ^ other ^ ">")))
+        slots)
 
 (* A body is safe to degrade to local evaluation when it provably reads
    only: no updating expression and no user-function call (a user
@@ -1328,9 +1300,7 @@ and degrade session env (x : Ast.execute_at) ~host ~args =
    <trace> header — the attempt span, so the receiving peer's spans
    parent under that exact attempt. *)
 and send_on_wire session ~dst ?hdr_span text =
-  let stats = session.net.Network.stats in
-  traced session ~cat:"network" ("send " ^ dst) @@ fun nsp ->
-  attr_delta_i nsp "bytes" (fun () -> Stats.total_bytes stats) @@ fun () ->
+  network_traced session ("send " ^ dst) @@ fun nsp ->
   (* Re-stamp the remaining deadline budget as of *now*, pre-subtracting
      this message's own wire time: the receiver's budget then equals the
      sender's budget at the moment of receipt, so budgets are strictly
@@ -1372,9 +1342,99 @@ and send_on_wire session ~dst ?hdr_span text =
   | Network.Delivered _ -> ());
   r
 
-(* One complete exchange with [host]: request build, send, retries.
-   Returns the shredded value, a <forward> redirect, or `Down after the
-   retry budget is exhausted on retryable failures (non-retryable faults
+(* The one client exchange: every request this session sends — a data
+   call, a <batch>, a 2PC control message — goes through here. It records
+   both messages, carries the request across the simulated wire to
+   [host]'s server session (a duplicated delivery reaches the server
+   twice; the second copy is answered from the dedup cache, or
+   idempotently, and its reply ignored), carries the reply back and hands
+   it to [classify]. A lost message in either direction waits out the
+   timeout.
+
+   [retry] = [(key, expiry)] makes the exchange retry: up to
+   [retries + 1] attempts, each its own span — a sibling of its
+   predecessors, never nested — whose id rides in the request's trace
+   header, so server-side spans attach to the attempt that delivered.
+   Every re-send draws on the shared retry budget and is charged a
+   jittered backoff keyed on [key]; every attempt first checks the
+   deadline and raises the typed expiry fault with reason [expiry n]. A
+   retryable fault raised by [classify] fails the attempt. Without
+   [retry] it is one attempt under the caller's span with no expiry
+   check: a <batch>, which only forms on a fault-free wire.
+
+   Returns [`Done] with the classified reply, or [`Down last] once the
+   attempts ran out on retryable failures (non-retryable faults raise). *)
+and exchange :
+      'a. t -> host:string -> ?retry:string * (int -> string) -> string ->
+      (string -> 'a) -> [ `Done of 'a | `Down of failure ] =
+ fun session ~host ?retry req_text classify ->
+  let stats = session.net.Network.stats in
+  let record dir text =
+    Option.iter (fun r -> r := { dir; text } :: !r) session.record
+  in
+  record (`Request host) req_text;
+  let srv = server_session session host in
+  let self_name = Peer.name session.self in
+  let timed_out () =
+    Stats.incr_timeouts stats;
+    Stats.add_network_s stats session.timeout_s;
+    Trace.add_attr session.cur "timeout" (Trace.B true);
+    `Down `Timeout
+  in
+  let deliver hdr_span =
+    match send_on_wire session ~dst:host ?hdr_span req_text with
+    | Network.Dropped -> timed_out ()
+    | Network.Delivered { text; duplicated } -> (
+      let resp_text = handle_request srv ~client_name:self_name text in
+      if duplicated then
+        ignore (handle_request srv ~client_name:self_name text);
+      record (`Response host) resp_text;
+      match send_on_wire session ~dst:self_name resp_text with
+      | Network.Dropped -> timed_out ()
+      | Network.Delivered { text; duplicated = _ } -> `Done (classify text))
+  in
+  match retry with
+  | None -> deliver session.cur
+  | Some (key, expiry) ->
+    session.retry_after_hint <- None;
+    let attempts = session.retries + 1 in
+    let rec attempt n last =
+      (* a spent shared retry pool stops retrying everywhere *)
+      if n > attempts || (n > 1 && not (retry_allowed session)) then
+        `Down last
+      else begin
+        if n > 1 then begin
+          Stats.incr_retries stats;
+          (* a server-suggested retry-after can stretch the backoff *)
+          charge_backoff session ~key ~attempt:n
+        end;
+        (* the budget may have run out while backing off: the exchange
+           can never complete in time, so nothing more goes on the wire *)
+        (match deadline_now session with
+        | Some d when Stats.network_s stats >= d ->
+          raise_expired session ~host (expiry n)
+        | _ -> ());
+        match
+          traced session ~cat:"attempt" (Printf.sprintf "attempt %d" n)
+          @@ fun asp ->
+          Trace.add_attr asp "retry" (Trace.I (n - 1));
+          match deliver asp with
+          | r -> r
+          | exception Message.Xrpc_fault { host = _; code; reason }
+            when Message.retryable code ->
+            Trace.add_attr asp "fault"
+              (Trace.S (Message.fault_code_to_string code));
+            `Down (`Fault (code, reason))
+        with
+        | `Done v -> `Done v
+        | `Down last -> attempt (n + 1) last
+      end
+    in
+    attempt 1 `Timeout
+
+(* One data call to [host]: build the request, exchange it, shred the
+   reply. Returns the value, a <forward> redirect, or `Down after the
+   attempts are exhausted on retryable failures (non-retryable faults
    raise immediately). *)
 and call_host session env (x : Ast.execute_at) ~host ~args =
   let stats = session.net.Network.stats in
@@ -1395,14 +1455,9 @@ and call_host session env (x : Ast.execute_at) ~host ~args =
     else None
   in
   let txn = Option.map (fun c -> c.txn_id) session.txn in
-  let epoch =
-    (* only under dynamic topology: the catalog version this call was
-       routed with *)
-    match session.net.Network.catalog with
-    | Some cat when Network.topo_active session.net ->
-      Some (Xd_topo.Catalog.epoch cat)
-    | _ -> None
-  in
+  (* only under dynamic topology: the catalog version this call was
+     routed with *)
+  let epoch = topo_epoch session in
   let req_text =
     ser_traced session "request" (fun () ->
         match
@@ -1410,109 +1465,39 @@ and call_host session env (x : Ast.execute_at) ~host ~args =
         with
         | Some text -> text
         | None ->
-          build_request session ~ep ~host ?req_id ?txn ?epoch x ~args ~funcs)
+          Message.envelope
+            (request_body session ~ep ~host ?req_id ?txn ?epoch x ~args
+               ~funcs))
   in
-  (match session.record with
-  | Some r -> r := { dir = `Request host; text = req_text } :: !r
-  | None -> ());
-  let srv = server_session session host in
-  let self_name = Peer.name session.self in
-  let attempts = session.retries + 1 in
   (* Jitter key: (request id, destination host) when there is an id
      (faulty wire — the only place retries can happen), else the host.
      The host must be part of the key: the same logical request can be
      re-driven at a different peer after a forward or failover, and
      keying on the id alone would replay the identical jitter fractions
      at the new hop instead of re-randomizing them per (id, hop). *)
-  let backoff_key =
-    match req_id with Some id -> id ^ "@" ^ host | None -> host
-  in
-  session.retry_after_hint <- None;
-  let timed_out () =
-    Stats.incr_timeouts stats;
-    Stats.add_network_s stats session.timeout_s
-  in
-  (* Each attempt is its own span — a sibling of its predecessors under
-     the call span, never nested — carrying retry=N and whatever went
-     wrong; the wire header names the attempt, so server-side spans
-     attach to the attempt that actually delivered. *)
-  let rec attempt n last =
-    if n > attempts then `Down last
-    else if n > 1 && not (retry_allowed session) then
-      (* the shared per-query retry pool is spent: stop retrying
-         everywhere, surface the last failure *)
-      `Down last
-    else begin
-      if n > 1 then begin
-        Stats.incr_retries stats;
-        (* deterministic jittered exponential backoff, charged to the
-           wire clock; a server-suggested retry-after can stretch it *)
-        charge_backoff session ~key:backoff_key ~attempt:n
-      end;
-      (match deadline_now session with
-      | Some d when Stats.network_s stats >= d ->
-        (* the budget ran out (e.g. while backing off): the call can
-           never complete in time, so nothing further goes on the wire *)
-        raise_expired session ~host
-          (Printf.sprintf "deadline budget exhausted before attempt %d" n)
-      | _ -> ());
-      let outcome =
-        traced session ~cat:"attempt" (Printf.sprintf "attempt %d" n)
-        @@ fun asp ->
-        Trace.add_attr asp "retry" (Trace.I (n - 1));
-        match send_on_wire session ~dst:host ?hdr_span:asp req_text with
-        | Network.Dropped ->
-          timed_out ();
-          Trace.add_attr asp "timeout" (Trace.B true);
-          `Retry `Timeout
-        | Network.Delivered { text = delivered; duplicated } -> (
-          let resp_text =
-            handle_request srv ~client_name:self_name delivered
-          in
-          (* a duplicated request reaches the server twice; the second
-             copy is answered from the dedup cache and its reply ignored *)
-          if duplicated then
-            ignore (handle_request srv ~client_name:self_name delivered);
-          (match session.record with
-          | Some r ->
-            r := { dir = `Response host; text = resp_text } :: !r
-          | None -> ());
-          match send_on_wire session ~dst:self_name resp_text with
-          | Network.Dropped ->
-            timed_out ();
-            Trace.add_attr asp "timeout" (Trace.B true);
-            `Retry `Timeout
-          | Network.Delivered { text = resp_delivered; duplicated = _ } -> (
-            match
-              shred_response session ~vertex:x.Ast.body.Ast.id ~ep ~host
-                resp_delivered
-            with
-            | v, tinfo ->
-              (* collect transaction participants: the callee (if it
-                 staged anything) plus whatever its own fan-out staged *)
-              (match session.txn, tinfo with
-              | Some c, Some (staged, nested) ->
-                let addp h =
-                  if h <> "" && not (List.mem h c.participants) then
-                    c.participants <- c.participants @ [ h ]
-                in
-                if staged > 0 then addp host;
-                List.iter addp nested
-              | _ -> ());
-              `Done (`Value v)
-            | exception Message.Xrpc_forward { doc; owner; epoch } ->
-              Trace.add_attr asp "forwarded" (Trace.B true);
-              `Done (`Forward (doc, owner, epoch))
-            | exception Message.Xrpc_fault { host = _; code; reason }
-              when Message.retryable code ->
-              Trace.add_attr asp "fault"
-                (Trace.S (Message.fault_code_to_string code));
-              `Retry (`Fault (code, reason))))
+  let key = match req_id with Some id -> id ^ "@" ^ host | None -> host in
+  exchange session ~host
+    ~retry:
+      (key, Printf.sprintf "deadline budget exhausted before attempt %d")
+    req_text
+  @@ fun text ->
+  match shred_response session ~vertex:x.Ast.body.Ast.id ~ep ~host text with
+  | v, tinfo ->
+    (* collect transaction participants: the callee (if it staged
+       anything) plus whatever its own fan-out staged *)
+    (match (session.txn, tinfo) with
+    | Some c, Some (staged, nested) ->
+      let addp h =
+        if h <> "" && not (List.mem h c.participants) then
+          c.participants <- c.participants @ [ h ]
       in
-      match outcome with `Done r -> r | `Retry last -> attempt (n + 1) last
-    end
-  in
-  attempt 1 `Timeout
+      if staged > 0 then addp host;
+      List.iter addp nested
+    | _ -> ());
+    `Value v
+  | exception Message.Xrpc_forward { doc; owner; epoch } ->
+    Trace.add_attr session.cur "forwarded" (Trace.B true);
+    `Forward (doc, owner, epoch)
 
 (* A live replacement peer for a call whose owner is down: some live,
    not-yet-tried peer that serves (owns or replicates) *every* document
@@ -1564,12 +1549,9 @@ and execute_at session env (x : Ast.execute_at) ~host ~args =
         match catalog_owner cat (body_doc_names x.Ast.body) with
         | Some owner ->
           Stats.incr_topo_resolutions stats;
-          if owner <> host then begin
-            let sp = span_note session ~cat:"topo" "resolve" in
-            Trace.add_attr sp "computed" (Trace.S host);
-            Trace.add_attr sp "owner" (Trace.S owner);
-            Trace.finish session.tracer sp
-          end;
+          if owner <> host then
+            note session ~cat:"topo" "resolve"
+              [ ("computed", Trace.S host); ("owner", Trace.S owner) ];
           owner
         | None -> host)
       | _ -> host
@@ -1609,43 +1591,46 @@ and execute_at session env (x : Ast.execute_at) ~host ~args =
           Stats.incr_breaker_opens stats
     in
     let rec drive ~hops ~visited host =
-      match breaker_verdict host with
-      | `Shed until -> (
-        let sp = span_note session ~cat:"overload" "breaker shed" in
-        Trace.add_attr sp "host" (Trace.S host);
-        Trace.finish session.tracer sp;
+      (* [host] cannot serve the call: a live replica takes a read-only
+         body, else it degrades to local evaluation, else [failure]
+         raises *)
+      let fall_back ?(noted = false) failure =
         match failover_target session x ~visited host with
         | Some replica when degradable x ->
           Stats.incr_topo_failovers stats;
+          if noted then
+            note session ~cat:"topo" "failover"
+              [ ("down", Trace.S host); ("replica", Trace.S replica) ];
           drive ~hops ~visited:(host :: visited) replica
         | _ ->
           if degradable x then degrade session env x ~host ~args
-          else
-            raise
-              (Message.Xrpc_fault
-                 {
-                   host;
-                   code = Message.Server_overloaded;
-                   reason =
-                     Printf.sprintf
-                       "circuit breaker open for %s until t=%.3fs" host until;
-                 }))
+          else raise failure
+      in
+      match breaker_verdict host with
+      | `Shed until ->
+        note session ~cat:"overload" "breaker shed" [ ("host", Trace.S host) ];
+        fall_back
+          (Message.Xrpc_fault
+             {
+               host;
+               code = Message.Server_overloaded;
+               reason =
+                 Printf.sprintf "circuit breaker open for %s until t=%.3fs"
+                   host until;
+             })
       | `Proceed -> (
       match call_host session env x ~host ~args with
-      | `Value v ->
+      | `Done (`Value v) ->
         Stats.set_peer_up ~peer:host stats true;
-        (match session.net.Network.overload with
-        | Some ov -> Overload.breaker_success ov ~peer:host
-        | None -> ());
+        Option.iter
+          (fun ov -> Overload.breaker_success ov ~peer:host)
+          session.net.Network.overload;
         v
-      | `Forward (doc, fwd_owner, fwd_epoch) ->
+      | `Done (`Forward (doc, fwd_owner, fwd_epoch)) ->
         Stats.incr_forwarded stats;
-        let sp = span_note session ~cat:"topo" "forward" in
-        Trace.add_attr sp "from" (Trace.S host);
-        Trace.add_attr sp "doc" (Trace.S doc);
-        Trace.add_attr sp "owner" (Trace.S fwd_owner);
-        Trace.add_attr sp "epoch" (Trace.I fwd_epoch);
-        Trace.finish session.tracer sp;
+        note session ~cat:"topo" "forward"
+          [ ("from", Trace.S host); ("doc", Trace.S doc);
+            ("owner", Trace.S fwd_owner); ("epoch", Trace.I fwd_epoch) ];
         (* re-resolve against our catalog; the redirect's claimed owner
            is the fallback when the document is not (or no longer)
            catalogued here *)
@@ -1670,32 +1655,17 @@ and execute_at session env (x : Ast.execute_at) ~host ~args =
             (Printf.sprintf "forward loop: %s already answered for %s" owner
                doc)
         else drive ~hops:(hops - 1) ~visited:(host :: visited) owner
-      | `Down last -> (
+      | `Down last ->
+        (* out of attempts on retryable failures only — non-retryable
+           faults raised inside the exchange *)
         Stats.set_peer_up ~peer:host stats false;
         breaker_failure host;
-        (match catalog with
-        | Some cat -> Xd_topo.Catalog.mark_down cat host
-        | None -> ());
-        match failover_target session x ~visited host with
-        | Some replica when degradable x ->
-          Stats.incr_topo_failovers stats;
-          let sp = span_note session ~cat:"topo" "failover" in
-          Trace.add_attr sp "down" (Trace.S host);
-          Trace.add_attr sp "replica" (Trace.S replica);
-          Trace.finish session.tracer sp;
-          drive ~hops ~visited:(host :: visited) replica
-        | _ -> (
-          (* out of attempts on retryable failures only — non-retryable
-             faults raised inside call_host *)
-          if degradable x then degrade session env x ~host ~args
-          else
-            match last with
-            | `Fault (code, reason) ->
-              raise (Message.Xrpc_fault { host; code; reason })
-            | `Timeout ->
-              raise
-                (Message.Xrpc_timeout
-                   { host; attempts = session.retries + 1 }))))
+        Option.iter (fun cat -> Xd_topo.Catalog.mark_down cat host) catalog;
+        fall_back ~noted:true
+          (match last with
+          | `Fault (code, reason) -> Message.Xrpc_fault { host; code; reason }
+          | `Timeout ->
+            Message.Xrpc_timeout { host; attempts = session.retries + 1 }))
     in
     drive ~hops:max_forward_hops ~visited:[] host
   end
@@ -1739,10 +1709,7 @@ and batch_call session env ~host
         Message.buf_attr buf "calls" (string_of_int n);
         (* the envelope is the admission unit: it carries the budget for
            all its slots (re-patched at send), and the slots carry none *)
-        (match deadline_now session with
-        | Some d ->
-          Message.buf_deadline buf (d -. Stats.network_s stats)
-        | None -> ());
+        Option.iter (Message.buf_deadline buf) (remaining session);
         Buffer.add_char buf '>';
         List.iter
           (fun (x, args) ->
@@ -1754,26 +1721,14 @@ and batch_call session env ~host
         Message.envelope (Buffer.contents buf))
   in
   Stats.add_batch stats ~calls:n;
-  (match session.record with
-  | Some r -> r := { dir = `Request host; text = req_text } :: !r
-  | None -> ());
-  let srv = server_session session host in
-  let self_name = Peer.name session.self in
-  let undeliverable () =
+  match
+    exchange session ~host req_text
+      (shred_batch_response session ~ep ~host ~calls:n)
+  with
+  | `Done vs -> vs
+  | `Down _ ->
     (* unreachable: batches only form on a fault-free wire *)
     raise (Message.Xrpc_timeout { host; attempts = 1 })
-  in
-  match send_on_wire session ~dst:host ?hdr_span:bsp req_text with
-  | Network.Dropped -> undeliverable ()
-  | Network.Delivered { text = delivered; duplicated = _ } -> (
-    let resp_text = handle_request srv ~client_name:self_name delivered in
-    (match session.record with
-    | Some r -> r := { dir = `Response host; text = resp_text } :: !r
-    | None -> ());
-    match send_on_wire session ~dst:self_name resp_text with
-    | Network.Dropped -> undeliverable ()
-    | Network.Delivered { text = resp_delivered; duplicated = _ } ->
-      shred_batch_response session ~ep ~host ~calls:n resp_delivered)
 
 (* Execute one overlap group. Members are provably pure and pairwise
    non-interfering (the effect analysis only groups read-only calls), so
@@ -1909,15 +1864,6 @@ and run_scheduled session env (e : Ast.expr) : Value.t option =
    runs execute as overlap groups; everything else (and any group that no
    longer matches) evaluates sequentially in place. *)
 and sched_seq session env groups es =
-  let rec split_at k l =
-    if k = 0 then ([], l)
-    else
-      match l with
-      | [] -> ([], [])
-      | x :: tl ->
-        let a, b = split_at (k - 1) tl in
-        (x :: a, b)
-  in
   let rec prefix ms l =
     match (ms, l) with
     | [], _ -> true
@@ -1930,7 +1876,9 @@ and sched_seq session env groups es =
     | c :: tl -> (
       match List.find_opt (fun ms -> prefix ms cs) gs with
       | Some members ->
-        let run, rest = split_at (List.length members) cs in
+        let k = List.length members in
+        let run = List.filteri (fun i _ -> i < k) cs in
+        let rest = List.filteri (fun i _ -> i >= k) cs in
         let vs = run_group session (List.map (fun m -> (env, m)) run) in
         go (List.rev_append vs acc) (List.filter (fun g -> g != members) gs)
           rest
@@ -2010,139 +1958,58 @@ and apply_updates session (env : Env.t) =
 
 (* ---------------- coordinator (2PC driver) ----------------------------- *)
 
-(* Parse a control-message reply: an ack, a retryable condition, or a
-   fatal typed exception. *)
-let parse_txn_response session ~host text =
-  shred_traced session "ack" (fun () ->
-      match X.Parser.parse_doc ~strip_ws:false text with
-      | exception X.Parser.Error (m, pos) ->
-        `Retry
-          ( Message.Transport_corrupt,
-            Printf.sprintf "unparsable ack: %s (byte %d)" m pos )
-      | mdoc -> (
-        let root = X.Node.doc_node mdoc in
-        match find_path [ "env:Envelope"; "env:Body"; "txn-ack" ] root with
-        | Some ack -> (
+(* Read a control-message reply: the ack, or the non-retryable fault
+   that answered instead, as a value. Retryable failures raise for the
+   exchange to retry, but only once outside the shred span: 2PC replies
+   never fail the span that parsed them. *)
+let read_ack session ~host text : (Message.txn_ack, exn) result =
+  match
+    shred_traced session "ack" (fun () ->
+        match open_reply session ~host ~expect:"txn-ack" text with
+        | ack, _ -> (
           match Message.parse_txn_ack ack with
-          | _, a -> `Ack a
-          | exception Message.Protocol_error m ->
-            `Retry (Message.Transport_corrupt, m))
-        | None -> (
-          match find_path [ "env:Envelope"; "env:Body"; "env:Fault" ] root with
-          | Some f -> (
-            match
-              let code, reason = Message.parse_fault f in
-              session.retry_after_hint <- Message.parse_retry_after f;
-              (code, reason)
-            with
-            | code, reason when Message.retryable code -> `Retry (code, reason)
-            | code, reason -> `Fatal (Message.Xrpc_fault { host; code; reason })
-            | exception Message.Protocol_error m ->
-              `Retry (Message.Transport_corrupt, m))
-          | None ->
-            `Retry
-              ( Message.Transport_corrupt,
-                "ack is neither <txn-ack> nor <env:Fault>" ))))
+          | _, a -> Ok a
+          | exception Message.Protocol_error m -> Error (corrupt ~host m))
+        | exception (Message.Xrpc_fault _ as e) -> Error e)
+  with
+  | Error (Message.Xrpc_fault { code; _ } as e) when Message.retryable code ->
+    raise e
+  | r -> r
 
 (* One 2PC control exchange with [host], under the same timeout/backoff
    regime as a data call. Control messages are idempotent, so they carry
    no request-id and never consult the dedup cache: a duplicated commit
-   simply re-acks. *)
+   simply re-acks. Every failure, deadline expiry included, comes back as
+   [Error]. *)
 let txn_rpc session ~host ?epoch action txn : (Message.txn_ack, exn) result =
-  let stats = session.net.Network.stats in
-  traced session ~cat:"txn.rpc"
-    (Message.txn_action_to_string action ^ " " ^ host)
-  @@ fun csp ->
+  let name = Message.txn_action_to_string action in
+  traced session ~cat:"txn.rpc" (name ^ " " ^ host) @@ fun csp ->
   Trace.add_attr csp "txn" (Trace.S txn);
   Trace.add_attr csp "host" (Trace.S host);
   (* 2PC control consumes deadline budget like any other hop: the value
      here is a placeholder, re-patched with the remaining budget at each
      send *)
-  let deadline =
-    Option.map (fun d -> d -. Stats.network_s stats) (deadline_now session)
-  in
   let req_text =
     ser_traced session "control" (fun () ->
-        Message.write_txn_control ?epoch ?deadline ~action ~txn ())
+        Message.write_txn_control ?epoch ?deadline:(remaining session) ~action
+          ~txn ())
   in
-  (match session.record with
-  | Some r -> r := { dir = `Request host; text = req_text } :: !r
-  | None -> ());
-  let srv = server_session session host in
-  let self_name = Peer.name session.self in
-  let attempts = session.retries + 1 in
-  session.retry_after_hint <- None;
-  let timed_out () =
-    Stats.incr_timeouts stats;
-    Stats.add_network_s stats session.timeout_s
-  in
-  let out_of_attempts last =
-    Error
-      (match last with
-      | `Timeout -> Message.Xrpc_timeout { host; attempts }
-      | `Fault (code, reason) -> Message.Xrpc_fault { host; code; reason })
-  in
-  let rec attempt n last =
-    if n > attempts then out_of_attempts last
-    else if n > 1 && not (retry_allowed session) then
-      (* the shared per-query retry pool is spent *)
-      out_of_attempts last
-    else begin
-      if n > 1 then begin
-        Stats.incr_retries stats;
-        charge_backoff session
-          ~key:(txn ^ "/" ^ Message.txn_action_to_string action ^ "@" ^ host)
-          ~attempt:n
-      end;
-      match deadline_now session with
-      | Some d when Stats.network_s stats >= d ->
-        Stats.incr_deadline_rejects stats;
-        Error
-          (Message.Xrpc_fault
-             {
-               host;
-               code = Message.Deadline_exceeded;
-               reason =
-                 Printf.sprintf
-                   "deadline budget exhausted before 2PC %s attempt %d"
-                   (Message.txn_action_to_string action)
-                   n;
-             })
-      | _ ->
-      let outcome =
-        traced session ~cat:"attempt" (Printf.sprintf "attempt %d" n)
-        @@ fun asp ->
-        Trace.add_attr asp "retry" (Trace.I (n - 1));
-        match send_on_wire session ~dst:host ?hdr_span:asp req_text with
-        | Network.Dropped ->
-          timed_out ();
-          Trace.add_attr asp "timeout" (Trace.B true);
-          `Retry `Timeout
-        | Network.Delivered { text = delivered; duplicated } -> (
-          let resp_text = handle_request srv ~client_name:self_name delivered in
-          if duplicated then
-            ignore (handle_request srv ~client_name:self_name delivered);
-          (match session.record with
-          | Some r -> r := { dir = `Response host; text = resp_text } :: !r
-          | None -> ());
-          match send_on_wire session ~dst:self_name resp_text with
-          | Network.Dropped ->
-            timed_out ();
-            Trace.add_attr asp "timeout" (Trace.B true);
-            `Retry `Timeout
-          | Network.Delivered { text = resp_delivered; duplicated = _ } -> (
-            match parse_txn_response session ~host resp_delivered with
-            | `Ack a -> `Done (Ok a)
-            | `Retry (code, reason) ->
-              Trace.add_attr asp "fault"
-                (Trace.S (Message.fault_code_to_string code));
-              `Retry (`Fault (code, reason))
-            | `Fatal e -> `Done (Error e)))
-      in
-      match outcome with `Done r -> r | `Retry last -> attempt (n + 1) last
-    end
-  in
-  attempt 1 `Timeout
+  match
+    exchange session ~host
+      ~retry:
+        ( txn ^ "/" ^ name ^ "@" ^ host,
+          Printf.sprintf "deadline budget exhausted before 2PC %s attempt %d"
+            name )
+      req_text (read_ack session ~host)
+  with
+  | `Done r -> r
+  | `Down `Timeout ->
+    Error (Message.Xrpc_timeout { host; attempts = session.retries + 1 })
+  | `Down (`Fault (code, reason)) ->
+    Error (Message.Xrpc_fault { host; code; reason })
+  | exception (Message.Xrpc_fault { code = Message.Deadline_exceeded; _ } as e)
+    ->
+    Error e
 
 (* Apply this peer's own staged PULs for [txn], if any: the coordinator
    is its own participant. *)
@@ -2154,7 +2021,27 @@ let commit_local session txn =
     Journal.committed j ~txn
   | `Already | `Unknown -> ()
 
-let all_ok acks = List.for_all (function Ok _ -> true | Error _ -> false) acks
+(* Send [action] for [txn] to every participant; once all of them
+   acknowledged, journal the transaction resolved. *)
+let settle session action txn participants =
+  let acks =
+    List.map (fun host -> txn_rpc session ~host action txn) participants
+  in
+  if List.for_all Result.is_ok acks then
+    Journal.append (journal session) (Journal.Resolved { txn })
+
+(* Drive [action] through the participants in turn; the first one that
+   fails or does not answer [want] stops the round, as the failure to
+   raise. *)
+let first_refusal session ?epoch action txn ~want ~reason participants =
+  List.find_map
+    (fun host ->
+      match txn_rpc session ~host ?epoch action txn with
+      | Ok a when a = want -> None
+      | Ok _ ->
+        Some (Message.Xrpc_fault { host; code = Message.Txn_aborted; reason })
+      | Error e -> Some e)
+    participants
 
 (* Drive 2PC to completion. With no remote participants the transaction
    never left this peer: apply the local PUL directly and resolve the
@@ -2200,19 +2087,8 @@ let commit_txn session (env : Env.t) (c : coord) =
       match local_vote with
       | Some e -> Some e
       | None ->
-        List.find_map
-          (fun host ->
-            match txn_rpc session ~host ?epoch:c.epoch Message.Prepare txn with
-            | Ok Message.Ack_prepared -> None
-            | Ok _ ->
-              Some
-                (Message.Xrpc_fault
-                   {
-                     host;
-                     code = Message.Txn_aborted;
-                     reason = "participant voted to abort";
-                   })
-            | Error e -> Some e)
+        first_refusal session ?epoch:c.epoch Message.Prepare txn
+          ~want:Message.Ack_prepared ~reason:"participant voted to abort"
           c.participants
     in
     match failure with
@@ -2221,37 +2097,20 @@ let commit_txn session (env : Env.t) (c : coord) =
       Stats.incr_txn_commits stats;
       Trace.add_attr tsp "decision" (Trace.S "commit");
       commit_local session txn;
-      let propagation =
-        List.find_map
-          (fun host ->
-            match txn_rpc session ~host Message.Commit txn with
-            | Ok Message.Ack_committed -> None
-            | Ok _ ->
-              Some
-                (Message.Xrpc_fault
-                   {
-                     host;
-                     code = Message.Txn_aborted;
-                     reason = "participant could not confirm the commit";
-                   })
-            | Error e -> Some e)
-          c.participants
-      in
-      match propagation with
+      match
+        first_refusal session Message.Commit txn ~want:Message.Ack_committed
+          ~reason:"participant could not confirm the commit" c.participants
+      with
       | None -> Journal.append j (Journal.Resolved { txn })
       | Some e -> raise e)
     | Some e ->
       Stats.incr_txn_aborts stats;
       Trace.add_attr tsp "decision" (Trace.S "abort");
       Journal.abort j ~txn;
-      let acks =
-        List.map (fun host -> txn_rpc session ~host Message.Abort txn)
-          c.participants
-      in
       (* journaling the resolution of an abort is an optimization, not a
          requirement: presumed abort means an unresolved undecided txn is
          re-aborted harmlessly by recovery *)
-      if all_ok acks then Journal.append j (Journal.Resolved { txn });
+      settle session Message.Abort txn c.participants;
       raise e
   end
 
@@ -2284,15 +2143,11 @@ let execute_txn session (q : Ast.query) =
      <prepare> carries it, so any ownership movement during evaluation
      makes every participant vote abort — updates refuse to commit across
      an epoch change. *)
-  let epoch =
-    match session.net.Network.catalog with
-    | Some cat when Network.topo_active session.net ->
-      Some (Xd_topo.Catalog.epoch cat)
-    | _ -> None
-  in
+  let epoch = topo_epoch session in
   (* the id comes from the journal, so it never repeats for this peer *)
-  let j = journal session in
-  let c = { txn_id = Journal.begin_txn j; participants = []; epoch } in
+  let c =
+    { txn_id = Journal.begin_txn (journal session); participants = []; epoch }
+  in
   session.txn <- Some c;
   Fun.protect
     ~finally:(fun () -> session.txn <- None)
@@ -2307,13 +2162,7 @@ let execute_txn session (q : Ast.query) =
            eagerly release staged state where the wire allows *)
         if c.participants <> [] then
           Stats.incr_txn_aborts session.net.Network.stats;
-        let acks =
-          List.map
-            (fun host -> txn_rpc session ~host Message.Abort c.txn_id)
-            c.participants
-        in
-        if all_ok acks then
-          Journal.append j (Journal.Resolved { txn = c.txn_id });
+        settle session Message.Abort c.txn_id c.participants;
         raise e)
 
 (* Crash recovery, run by a fresh session for the same peer (same journal
@@ -2325,21 +2174,14 @@ let recover session =
   let j = journal session in
   List.iter
     (fun (txn, participants, decision) ->
-      match decision with
-      | `Commit ->
-        commit_local session txn;
-        let acks =
-          List.map
-            (fun host -> txn_rpc session ~host Message.Commit txn)
-            participants
-        in
-        if all_ok acks then Journal.append j (Journal.Resolved { txn })
-      | `Abort ->
-        Journal.abort j ~txn;
-        let acks =
-          List.map
-            (fun host -> txn_rpc session ~host Message.Abort txn)
-            participants
-        in
-        if all_ok acks then Journal.append j (Journal.Resolved { txn }))
+      let action =
+        match decision with
+        | `Commit ->
+          commit_local session txn;
+          Message.Commit
+        | `Abort ->
+          Journal.abort j ~txn;
+          Message.Abort
+      in
+      settle session action txn participants)
     (Journal.unresolved j)
