@@ -176,8 +176,8 @@ let prop_deterministic =
    come from an id space the network owns: the same query on a freshly
    built network sends the same bytes whatever the process ran before —
    here, unrelated documents in a standalone store and a by-fragment run
-   on another network. The spec and seed once made successive runs send
-   6649, 6661 and 6669 message bytes. *)
+   on another network. Retries under this spec and seed put origin keys
+   on the wire several times, so any drift in ids shows in the bytes. *)
 let test_wire_independent_of_process () =
   let transcript () =
     let record = ref [] in

@@ -411,22 +411,13 @@ let sequential_inserts ?crash_after () =
       E.recover net ~client
     end
   done;
-  let flags host doc =
-    let d = Option.get (Xd_xrpc.Peer.find_doc (N.find_peer net host) doc) in
-    let text = Xd_xml.Serializer.doc d in
-    let rec count i acc =
-      match String.index_from_opt text i '<' with
-      | None -> acc
-      | Some j ->
-        let hit =
-          j + 6 <= String.length text && String.sub text j 6 = "<flag>"
-        in
-        count (j + 1) (if hit then acc + 1 else acc)
-    in
-    count 0 0
+  let flags uri =
+    Xd_lang.Value.serialize
+      (E.run_local net ~client
+         (parse (Printf.sprintf {|count(doc("%s")//child::flag)|} uri)))
   in
-  check_int "six flags at peerA" 6 (flags "peerA" "students.xml");
-  check_int "six flags at peerB" 6 (flags "peerB" "course.xml");
+  check_string "six flags at peerA" "6" (flags "xrpc://peerA/students.xml");
+  check_string "six flags at peerB" "6" (flags "xrpc://peerB/course.xml");
   check_int "six commits"
     6 (List.length
          (List.filter

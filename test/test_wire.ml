@@ -130,20 +130,19 @@ let q_insert_two =
      insert node <flag>done</flag> into doc("xrpc://peerB/course.xml")/child::enroll)|}
 
 (* an Executor run over the Gen_queries network *)
-let exec ?fault ?deadline ?retry_budget ?(txn = `Auto)
-    ?(strategy = S.By_fragment) src () =
+let exec ?fault ?deadline ?retry_budget ?(strategy = S.By_fragment) src () =
   let net, client = Gen_queries.make_net ?fault:(Option.map fault_of fault) () in
   pin net (fun record trace ->
       let r =
         E.run ~record ~trace ~timeout_s:0.5 ~retries:2 ?deadline ?retry_budget
-          ~txn net ~client strategy (parse src)
+          net ~client strategy (parse src)
       in
       r.E.value)
 
 let little_doc = "<r><x>1</x><x>2</x><x>3</x></r>"
 
 (* three peers holding d.xml under a catalog; a plain session runs [src] *)
-let topo ?fault ?overload ~register src () =
+let topo ?fault ?overload ?register src () =
   let net = N.create ?fault:(Option.map fault_of fault) () in
   let client = N.new_peer net "client" in
   List.iter
@@ -152,12 +151,12 @@ let topo ?fault ?overload ~register src () =
         (Xd_xrpc.Peer.load_xml (N.new_peer net name) ~doc_name:"d.xml"
            little_doc))
     [ "peer1"; "peer2"; "peer3" ];
-  (match register with
-  | None -> ()
-  | Some reg ->
-    let cat = C.create () in
-    reg cat;
-    N.set_catalog net cat);
+  Option.iter
+    (fun register ->
+      let cat = C.create () in
+      register cat;
+      N.set_catalog net cat)
+    register;
   Option.iter (N.set_overload net) overload;
   pin net (fun record tracer ->
       let s =
@@ -181,19 +180,15 @@ let cases =
       exec ~deadline:0.3 ~fault:"peerA:drop#1" q_call );
     ("retry-budget stop", exec ~retry_budget:0 ~fault:"peerA:drop#1" q_call);
     ( "forward redirect",
-      topo
-        ~register:(Some (fun cat -> C.register cat ~doc:"d.xml" ~owner:"peer2" ()))
-        q_d );
+      topo ~register:(fun cat -> C.register cat ~doc:"d.xml" ~owner:"peer2" ()) q_d
+    );
     ( "replica failover",
       topo ~fault:"peer1:down"
-        ~register:
-          (Some
-             (fun cat ->
-               C.register cat ~doc:"d.xml" ~owner:"peer1" ~replicas:[ "peer2" ]
-                 ()))
+        ~register:(fun cat ->
+          C.register cat ~doc:"d.xml" ~owner:"peer1" ~replicas:[ "peer2" ] ())
         q_d );
     ( "breaker shed",
-      topo ~fault:"peer1:down" ~register:None
+      topo ~fault:"peer1:down"
         ~overload:(Xd_xrpc.Overload.create ~capacity:2 ~service_s:0.001 ())
         (Printf.sprintf "(%s)"
            (String.concat ","
