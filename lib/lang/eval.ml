@@ -1,51 +1,12 @@
 (* The XCore evaluator. Standard environment-passing interpreter; the only
-   unusual pieces are (a) path steps always sort and deduplicate their
-   result in document order — the property whose loss under pass-by-value
-   the paper's Problems 1-4 describe — and (b) Execute_at delegates to the
-   environment's RPC hook. *)
+   unusual pieces are (a) path steps always return their result in
+   document order without duplicates (Step's kernels) — the property whose
+   loss under pass-by-value the paper's Problems 1-4 describe — and (b)
+   Execute_at delegates to the environment's RPC hook. *)
 
 module X = Xd_xml
 
 let max_recursion = 4096
-
-let test_matches axis test n =
-  let principal_attr = axis = Ast.Attribute in
-  let kind = X.Node.kind n in
-  match test with
-  | Ast.Kind_node -> true
-  | Ast.Kind_text -> kind = X.Node.Text
-  | Ast.Kind_comment -> kind = X.Node.Comment
-  | Ast.Kind_element None -> kind = X.Node.Element
-  | Ast.Kind_element (Some nm) -> kind = X.Node.Element && X.Node.name n = nm
-  | Ast.Kind_attribute None -> kind = X.Node.Attribute
-  | Ast.Kind_attribute (Some nm) ->
-    kind = X.Node.Attribute && X.Node.name n = nm
-  | Ast.Wildcard ->
-    if principal_attr then kind = X.Node.Attribute else kind = X.Node.Element
-  | Ast.Name_test nm ->
-    if principal_attr then kind = X.Node.Attribute && X.Node.name n = nm
-    else kind = X.Node.Element && X.Node.name n = nm
-
-let axis_nodes axis n =
-  match axis with
-  | Ast.Child -> X.Node.children n
-  | Ast.Descendant -> X.Node.descendants n
-  | Ast.Descendant_or_self -> X.Node.descendant_or_self n
-  | Ast.Self -> [ n ]
-  | Ast.Attribute -> X.Node.attributes n
-  | Ast.Parent -> ( match X.Node.parent n with None -> [] | Some p -> [ p ])
-  | Ast.Ancestor -> X.Node.ancestors n
-  | Ast.Ancestor_or_self -> X.Node.ancestor_or_self n
-  | Ast.Following -> X.Node.following n
-  | Ast.Following_sibling -> X.Node.following_sibling n
-  | Ast.Preceding -> X.Node.preceding n
-  | Ast.Preceding_sibling -> X.Node.preceding_sibling n
-
-let eval_step axis test ctx_nodes =
-  let per_node n =
-    List.filter (test_matches axis test) (axis_nodes axis n)
-  in
-  X.Seq_ops.sort_dedup (List.concat_map per_node ctx_nodes)
 
 let matches_sequence_type (v : Value.t) = function
   | Ast.St_empty -> v = []
@@ -211,7 +172,7 @@ and eval_desc (env : Env.t) (e : Ast.expr) : Value.t =
   | Ast.Step (e1, axis, test) ->
     let ctx = eval env e1 in
     let nodes = Value.nodes_of ctx in
-    let res = eval_step axis test nodes in
+    let res = Step.eval axis test nodes in
     (match env.Env.observe with
     | None -> ()
     | Some f -> List.iter f res);

@@ -1,22 +1,12 @@
 (** The XCore evaluator.
 
     A standard environment-passing interpreter with two load-bearing
-    choices: path steps always sort and deduplicate their result in
-    document order (the property whose loss pass-by-value causes — the
-    paper's Problems 1-4), and [Execute_at] delegates to the environment's
-    RPC hook. *)
+    choices: path steps ({!Step.eval}) always return their result in
+    document order without duplicates (the property whose loss
+    pass-by-value causes — the paper's Problems 1-4), and [Execute_at]
+    delegates to the environment's RPC hook. *)
 
 val max_recursion : int
-
-val test_matches : Ast.axis -> Ast.node_test -> Xd_xml.Node.t -> bool
-(** Node-test semantics, with the axis's principal node kind. *)
-
-val axis_nodes : Ast.axis -> Xd_xml.Node.t -> Xd_xml.Node.t list
-
-val eval_step :
-  Ast.axis -> Ast.node_test -> Xd_xml.Node.t list -> Xd_xml.Node.t list
-(** One axis step over a context sequence: filter by test, concatenate,
-    sort and deduplicate in document order. *)
 
 val matches_sequence_type : Value.t -> Ast.sequence_type -> bool
 (** Typeswitch case matching (occurrence + item kinds). *)

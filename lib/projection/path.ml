@@ -96,7 +96,7 @@ let id_like_elements names n =
     (X.Node.descendant_or_self root)
 
 let eval_step_on ctx = function
-  | Axis (axis, test) -> Xd_lang.Eval.eval_step axis test ctx
+  | Axis (axis, test) -> Xd_lang.Step.eval axis test ctx
   | Root_fn -> X.Seq_ops.sort_dedup (List.map X.Node.root ctx)
   | Id_fn ->
     X.Seq_ops.sort_dedup

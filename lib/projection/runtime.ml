@@ -73,8 +73,12 @@ let project ?schema ?(trim_lca = true) ~used ~returned (d : X.Doc.t) :
             keep.(i) <- true
           done;
           let stop = cur + d.X.Doc.size.(cur) in
-          let rest = List.filter (fun q -> q > stop) rest in
-          loop (stop + 1) rest
+          (* [proj] is sorted: the nodes inside the subtree are a prefix *)
+          let rec past = function
+            | q :: qs when q <= stop -> past qs
+            | qs -> qs
+          in
+          loop (stop + 1) (past rest)
         end
         else begin
           keep.(cur) <- true;

@@ -47,12 +47,18 @@ let kind n =
 let name n =
   if n.attr >= 0 then n.doc.Doc.attr_name.(n.attr) else n.doc.Doc.name.(n.idx)
 
-(* Ordering key: (did, pre, is_attr, attr_idx). An attribute of element with
-   pre p sorts after (p,0,_) and before (p+1,0,_). *)
-let order_key n = (n.doc.Doc.did, n.idx, (if n.attr >= 0 then 1 else 0), n.attr)
+(* Document order is the int triple (did, pre, attr): tree nodes carry
+   attr = -1, so an element's attributes sort after it and before its
+   first child (pre + 1). Compared field by field, allocation-free. *)
+let compare_order a b =
+  let c = Int.compare a.doc.Doc.did b.doc.Doc.did in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.idx b.idx in
+    if c <> 0 then c else Int.compare a.attr b.attr
 
-let compare_order a b = compare (order_key a) (order_key b)
-let same a b = compare_order a b = 0
+let same a b =
+  a.idx = b.idx && a.attr = b.attr && a.doc.Doc.did = b.doc.Doc.did
 
 let string_value n =
   if n.attr >= 0 then n.doc.Doc.attr_value.(n.attr)
@@ -81,8 +87,9 @@ let is_tree_descendant_or_self ~anc:a ~desc:d =
 let contains a d =
   if a.attr >= 0 then same a d else is_tree_descendant_or_self ~anc:a ~desc:d
 
-(* --- axes -------------------------------------------------------------
-   All axes return nodes in document order (path-step semantics). *)
+(* --- navigation -------------------------------------------------------
+   Per-node navigation in document order. Path steps over whole context
+   sequences are the step kernels in Xd_lang.Step. *)
 
 let parent n =
   if n.attr >= 0 then Some (of_tree n.doc n.idx)
@@ -118,53 +125,6 @@ let descendants n =
     List.init (stop - n.idx) (fun i -> of_tree d (n.idx + 1 + i))
 
 let descendant_or_self n = if n.attr >= 0 then [ n ] else n :: descendants n
-
-let ancestors n =
-  let rec up acc cur =
-    match parent cur with
-    | None -> acc (* document order: outermost first *)
-    | Some p -> up (p :: acc) p
-  in
-  up [] n
-
-let ancestor_or_self n = ancestors n @ [ n ]
-
-let following_sibling n =
-  if n.attr >= 0 then []
-  else
-    match parent n with
-    | None -> []
-    | Some p -> List.filter (fun c -> c.idx > n.idx) (children p)
-
-let preceding_sibling n =
-  if n.attr >= 0 then []
-  else
-    match parent n with
-    | None -> []
-    | Some p -> List.filter (fun c -> c.idx < n.idx) (children p)
-
-(* following: nodes strictly after the subtree of n, excluding ancestors
-   (ancestors all have smaller pre, so the pre > n.idx + size test suffices).
-   For attribute nodes we use their owner element, per common practice. *)
-let following n =
-  let base = if n.attr >= 0 then of_tree n.doc n.idx else n in
-  let d = base.doc in
-  let start = base.idx + d.Doc.size.(base.idx) + 1 in
-  let total = Doc.n_nodes d in
-  List.init (max 0 (total - start)) (fun i -> of_tree d (start + i))
-
-(* preceding: nodes before n in document order, excluding ancestors. *)
-let preceding n =
-  let base = if n.attr >= 0 then of_tree n.doc n.idx else n in
-  let d = base.doc in
-  let ancs = List.map (fun a -> a.idx) (ancestors base) in
-  let rec loop i acc =
-    if i >= base.idx then List.rev acc
-    else
-      let acc = if List.mem i ancs then acc else of_tree d i :: acc in
-      loop (i + 1) acc
-  in
-  loop 0 []
 
 let root n = of_tree n.doc 0
 

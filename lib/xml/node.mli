@@ -27,9 +27,9 @@ val is_attribute : t -> bool
 val kind : t -> kind
 val name : t -> string
 
-val order_key : t -> int * int * int * int
 val compare_order : t -> t -> int
-(** Global document order (documents ordered by store id). *)
+(** Global document order: (document id, pre index, attribute index),
+    tree nodes carrying attribute index -1. *)
 
 val same : t -> t -> bool
 (** Node identity ([is] in XQuery). *)
@@ -41,19 +41,14 @@ val contains : t -> t -> bool
 (** [contains a d] — [d] is [a] or a descendant (or attribute of a
     descendant-or-self) of [a]. *)
 
-(** {2 Axes} — all results in document order. *)
+(** {2 Navigation} — all results in document order. Path steps over a
+    context sequence are [Xd_lang.Step]. *)
 
 val parent : t -> t option
 val attributes : t -> t list
 val children : t -> t list
 val descendants : t -> t list
 val descendant_or_self : t -> t list
-val ancestors : t -> t list
-val ancestor_or_self : t -> t list
-val following_sibling : t -> t list
-val preceding_sibling : t -> t list
-val following : t -> t list
-val preceding : t -> t list
 val root : t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -5,43 +5,55 @@
 
 let sort ns = List.stable_sort Node.compare_order ns
 
+let rec strictly_ordered = function
+  | a :: (b :: _ as rest) -> Node.compare_order a b < 0 && strictly_ordered rest
+  | _ -> true
+
+(* Step results and most operands are already in document order without
+   duplicates, so one linear check usually replaces the sort. *)
 let sort_dedup ns =
-  let sorted = sort ns in
-  let rec dedup = function
-    | a :: (b :: _ as rest) ->
-      if Node.same a b then dedup rest else a :: dedup rest
-    | rest -> rest
+  if strictly_ordered ns then ns
+  else
+    let rec dedup = function
+      | a :: (b :: _ as rest) ->
+        if Node.same a b then dedup rest else a :: dedup rest
+      | rest -> rest
+    in
+    dedup (sort ns)
+
+(* One sorted merge of the normalised operands. [left], [both] and [right]
+   say whether a node found only in [a], in both, or only in [b] survives;
+   on a tie the node of [a] is kept. *)
+let merge ~left ~both ~right a b =
+  let rec go a b acc =
+    match (a, b) with
+    | [], rest -> if right then List.rev_append acc rest else List.rev acc
+    | rest, [] -> if left then List.rev_append acc rest else List.rev acc
+    | x :: a', y :: b' ->
+      let c = Node.compare_order x y in
+      if c < 0 then go a' b (if left then x :: acc else acc)
+      else if c > 0 then go a b' (if right then y :: acc else acc)
+      else go a' b' (if both then x :: acc else acc)
   in
-  dedup sorted
+  go (sort_dedup a) (sort_dedup b) []
 
-let union a b = sort_dedup (a @ b)
-
-let intersect a b =
-  let b = sort_dedup b in
-  let mem n = List.exists (Node.same n) b in
-  List.filter mem (sort_dedup a)
-
-let except a b =
-  let b = sort_dedup b in
-  let mem n = List.exists (Node.same n) b in
-  List.filter (fun n -> not (mem n)) (sort_dedup a)
-
-let contains_node ns n = List.exists (Node.same n) ns
+let union a b = merge ~left:true ~both:true ~right:true a b
+let intersect a b = merge ~left:false ~both:true ~right:false a b
+let except a b = merge ~left:true ~both:false ~right:false a b
 
 (* Maximal nodes of a set: drop any node contained in another node of the
    set. Used by pass-by-fragment to avoid serializing a shipped node that is
-   a descendant of another shipped node. *)
+   a descendant of another shipped node. In document order a containing
+   node precedes everything it contains, and kept subtrees are disjoint, so
+   only the last kept node can contain the next one. *)
 let maximal ns =
-  let ns = sort_dedup ns in
-  let rec keep = function
-    | [] -> []
-    | n :: rest ->
-      (* sorted by document order: a containing ancestor appears before its
-         descendants, so filter the tail against n *)
-      let rest = List.filter (fun m -> not (Node.contains n m)) rest in
-      n :: keep rest
-  in
-  keep ns
+  List.rev
+    (List.fold_left
+       (fun kept n ->
+         match kept with
+         | k :: _ when Node.contains k n -> kept
+         | _ -> n :: kept)
+       [] (sort_dedup ns))
 
 (* Lowest common ancestor of a non-empty set of nodes of one document. *)
 let lowest_common_ancestor ns =

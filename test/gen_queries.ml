@@ -77,6 +77,7 @@ let gen_axis =
       (2, Ast.Attribute);
       (2, Ast.Parent);
       (1, Ast.Ancestor);
+      (1, Ast.Ancestor_or_self);
       (1, Ast.Following_sibling);
       (1, Ast.Preceding_sibling);
       (1, Ast.Following);

@@ -26,6 +26,9 @@ let test_parent_size_consistency () =
 
 (* ---- axes ------------------------------------------------------------- *)
 
+(* one step from one node, no node test: the evaluator's step kernel *)
+let axis ax n = Xd_lang.Step.eval ax Xd_lang.Ast.Kind_node [ n ]
+
 let person_nodes d =
   List.filter
     (fun n -> X.Node.name n = "person")
@@ -69,22 +72,22 @@ let test_siblings () =
   match person_nodes d with
   | [ p1; p2 ] ->
     check_slist "following sibling" [ "person" ]
-      (names (X.Node.following_sibling p1));
+      (names (axis Xd_lang.Ast.Following_sibling p1));
     check_slist "preceding sibling" [ "person" ]
-      (names (X.Node.preceding_sibling p2));
+      (names (axis Xd_lang.Ast.Preceding_sibling p2));
     check_bool "no preceding sibling of first"
-      (X.Node.preceding_sibling p1 = [])
+      (axis Xd_lang.Ast.Preceding_sibling p1 = [])
   | _ -> Alcotest.fail "expected two persons"
 
 let test_following_preceding () =
   let d = sample () in
   match person_nodes d with
   | [ p1; p2 ] ->
-    let fol = names (X.Node.following p1) in
+    let fol = names (axis Xd_lang.Ast.Following p1) in
     check_slist "following of p1"
       [ "person"; "name"; ""; "age"; ""; "extra" ]
       fol;
-    let prec = names (X.Node.preceding p2) in
+    let prec = names (axis Xd_lang.Ast.Preceding p2) in
     (* preceding excludes ancestors (site, people, document) *)
     check_slist "preceding of p2"
       [ "person"; "name"; ""; "age"; "" ]
@@ -97,7 +100,7 @@ let test_ancestors () =
   let age = List.nth (X.Node.children p2) 1 in
   check_slist "ancestors in doc order"
     [ ""; "site"; "people"; "person" ]
-    (names (X.Node.ancestors age))
+    (names (axis Xd_lang.Ast.Ancestor age))
 
 (* ---- order and identity ------------------------------------------------ *)
 
@@ -228,7 +231,8 @@ let test_deep_nesting () =
   let d = xml (Buffer.contents buf) in
   check_int "all nodes present" (depth + 2) (X.Doc.n_nodes d);
   let leaf = X.Node.of_tree d (depth + 1) in
-  check_int "ancestor chain" (depth + 1) (List.length (X.Node.ancestors leaf));
+  check_int "ancestor chain" (depth + 1)
+    (List.length (axis Xd_lang.Ast.Ancestor leaf));
   check_string "round trip survives"
     (X.Serializer.doc d)
     (X.Serializer.doc (X.Parser.parse_doc (X.Serializer.doc d)))
@@ -320,10 +324,10 @@ let prop_following_preceding_partition =
         let n = X.Node.of_tree d i in
         let parts =
           1
-          + List.length (X.Node.ancestors n)
+          + List.length (axis Xd_lang.Ast.Ancestor n)
           + List.length (X.Node.descendants n)
-          + List.length (X.Node.following n)
-          + List.length (X.Node.preceding n)
+          + List.length (axis Xd_lang.Ast.Following n)
+          + List.length (axis Xd_lang.Ast.Preceding n)
         in
         if parts <> total then ok := false
       done;
