@@ -181,7 +181,7 @@ let parent test (d : D.t) ns acc =
 (* preceding-sibling: per parent only the last context child matters;
    its preceding siblings are that parent's children before it. *)
 let preceding_sibling test (d : D.t) ns acc =
-  let rec last_per_parent = function
+  let[@tail_mod_cons] rec last_per_parent = function
     | (p, _) :: ((q, _) :: _ as rest) when p = q -> last_per_parent rest
     | pc :: rest -> pc :: last_per_parent rest
     | [] -> []
